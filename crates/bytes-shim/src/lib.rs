@@ -1,14 +1,15 @@
-//! Vendored, dependency-free subset of the `bytes` crate: just [`Bytes`],
-//! an immutable, cheaply cloneable byte buffer. Only the API surface this
-//! workspace actually uses is provided, so the workspace builds with no
-//! network access to a registry.
+//! Vendored, dependency-free subset of the `bytes` crate: [`Bytes`], an
+//! immutable, cheaply cloneable byte buffer, and [`BytesMut`], a uniquely
+//! owned buffer that freezes into one without copying. Only the API surface
+//! this workspace actually uses is provided, so the workspace builds with
+//! no network access to a registry.
 
 #![warn(missing_docs)]
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Deref;
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::{Arc, OnceLock};
 
 /// Size of the shared all-zero backing buffer used by [`Bytes::zeroed`].
@@ -74,9 +75,73 @@ impl Bytes {
         self.len == 0
     }
 
+    /// A view of `range` within this buffer, sharing its storage.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    #[must_use]
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let start = match range.start_bound() {
+            Bound::Included(&s) => s,
+            Bound::Excluded(&s) => s + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&e) => e + 1,
+            Bound::Excluded(&e) => e,
+            Bound::Unbounded => self.len,
+        };
+        assert!(start <= end && end <= self.len, "slice {start}..{end} out of {} bytes", self.len);
+        Self { data: self.data.clone(), off: self.off + start, len: end - start }
+    }
+
     #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.off..self.off + self.len]
+    }
+}
+
+/// A uniquely owned, writable byte buffer of fixed length. It is allocated
+/// once, with the reference-counted layout [`Bytes`] uses, so
+/// [`BytesMut::freeze`] hands the same allocation over without a copy.
+pub struct BytesMut {
+    data: Arc<[u8]>,
+}
+
+impl BytesMut {
+    /// `len` zero bytes in one allocation.
+    #[must_use]
+    pub fn zeroed(len: usize) -> Self {
+        // `RepeatN` has an exact length, so the `Arc` is allocated once at
+        // its final size and filled in place.
+        Self { data: std::iter::repeat_n(0u8, len).collect() }
+    }
+
+    /// Converts into an immutable [`Bytes`] over the same allocation.
+    #[must_use]
+    pub fn freeze(self) -> Bytes {
+        let len = self.data.len();
+        Bytes { data: self.data, off: 0, len }
+    }
+}
+
+impl From<&[u8]> for BytesMut {
+    fn from(v: &[u8]) -> Self {
+        Self { data: Arc::from(v) }
+    }
+}
+
+impl Deref for BytesMut {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        Arc::get_mut(&mut self.data).expect("a BytesMut is never shared")
     }
 }
 
@@ -219,6 +284,38 @@ mod tests {
         let big = Bytes::zeroed(ZERO_CHUNK + 1);
         assert_eq!(big.len(), ZERO_CHUNK + 1);
         assert!(big.iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn slices_share_storage() {
+        let b = Bytes::from(vec![0u8, 1, 2, 3, 4, 5]);
+        let s = b.slice(2..5);
+        assert_eq!(&s[..], &[2, 3, 4]);
+        assert!(Arc::ptr_eq(&s.data, &b.data));
+        assert_eq!(&s.slice(1..)[..], &[3, 4]);
+        assert_eq!(&b.slice(..=1)[..], &[0, 1]);
+        assert!(b.slice(6..).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of")]
+    fn slice_out_of_bounds_panics() {
+        let _ = Bytes::from(vec![0u8; 4]).slice(2..5);
+    }
+
+    #[test]
+    fn bytes_mut_freezes_in_place() {
+        let mut m = BytesMut::zeroed(5);
+        assert_eq!(&m[..], &[0; 5]);
+        m[1..3].copy_from_slice(&[7, 8]);
+        let ptr = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(&b[..], &[0, 7, 8, 0, 0]);
+        assert_eq!(b.as_ptr(), ptr, "freeze must not copy");
+        let mut c = BytesMut::from(&b[1..3]);
+        c[0] = 9;
+        assert_eq!(&c.freeze()[..], &[9, 8]);
+        assert_eq!(&b[..], &[0, 7, 8, 0, 0], "the source is untouched");
     }
 
     #[test]

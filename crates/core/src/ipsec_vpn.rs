@@ -108,14 +108,15 @@ impl IpsecGateway {
         let (peer_ip, out_sa, _) = &mut self.peers[peer_idx];
         let peer_ip = *peer_ip;
         let my_ip = self.public_ip;
-        let outer = encapsulate(&pkt, out_sa, my_ip, peer_ip);
-        let cost = self.cost.cost_ns(outer.payload.len());
+        // The outer packet reuses the inner packet's box.
+        *pkt = encapsulate(&pkt, out_sa, my_ip, peer_ip);
+        let cost = self.cost.cost_ns(pkt.payload.len());
         self.crypto_ns += cost;
         self.counters.forwarded += 1;
-        ctx.send_after(cost, IfaceId(self.uplink), outer);
+        ctx.send_after(cost, IfaceId(self.uplink), pkt);
     }
 
-    fn downstream(&mut self, pkt: Pkt, ctx: &mut Ctx) {
+    fn downstream(&mut self, mut pkt: Pkt, ctx: &mut Ctx) {
         if !pkt.outer_ipv4().map(|h| h.dst == self.public_ip).unwrap_or(false) {
             self.counters.dropped_no_route += 1;
             return;
@@ -134,14 +135,15 @@ impl IpsecGateway {
         let cost = self.cost.cost_ns(pkt.payload.len());
         self.crypto_ns += cost;
         let (_, _, in_sa) = &mut self.peers[peer_idx];
-        let inner = match decapsulate(&pkt, in_sa) {
+        // The inner packet reuses the outer packet's box.
+        *pkt = match decapsulate(&pkt, in_sa) {
             Ok(p) => p,
             Err(IpsecError::Replayed { .. }) | Err(_) => {
                 self.esp_errors += 1;
                 return;
             }
         };
-        let Some(dst) = inner.outer_ipv4().map(|h| h.dst) else {
+        let Some(dst) = pkt.outer_ipv4().map(|h| h.dst) else {
             self.counters.dropped_no_route += 1;
             return;
         };
@@ -149,7 +151,7 @@ impl IpsecGateway {
         match self.local.lookup(dst) {
             Some(&out) => {
                 self.counters.forwarded += 1;
-                ctx.send_after(cost, IfaceId(out), inner);
+                ctx.send_after(cost, IfaceId(out), pkt);
             }
             None => self.counters.dropped_no_route += 1,
         }
@@ -228,16 +230,18 @@ impl IpsecVpnNetwork {
         }
     }
 
-    /// Adds a gateway at backbone node `attach`, serving `prefix`, with
-    /// public address `203.0.113.<n>`.
+    /// Adds a gateway at backbone node `attach`, serving `prefix`. The
+    /// `n`-th gateway (from 0) gets public address `203.0.113.0 + n + 1`:
+    /// `203.0.113.1` to `.254` for the first 254, then on into the
+    /// following addresses, so every gateway's `/32` is distinct.
     pub fn add_gateway(
         &mut self,
         attach: usize,
         prefix: Prefix,
         marking: Option<MarkingPolicy>,
     ) -> GwId {
-        let n = self.gws.len() as u8;
-        let public_ip = Ip::new(203, 0, 113, n + 1);
+        let n = self.gws.len() as u32;
+        let public_ip = Ip(Ip::new(203, 0, 113, 1).0 + n);
         let gw = IpsecGateway::new(format!("GW{n}"), public_ip, marking);
         let gw_node = self.net.add_node(Box::new(gw));
         let (_l, _gw_if, _r_if) =
@@ -428,5 +432,33 @@ mod tests {
         n.attach_cbr_source(a, cfg, 1_000_000, Some(5));
         n.net.run_until(SEC);
         assert_eq!(n.net.node_ref::<Sink>(sink).total_packets, 5);
+    }
+
+    /// Public addresses continue past `203.0.113.254` instead of wrapping:
+    /// the 255th gateway used to overflow its last octet, and the 256th
+    /// took `203.0.113.1` again, overwriting the first gateway's `/32` in
+    /// every backbone FIB.
+    #[test]
+    fn gateway_addresses_stay_distinct_past_254() {
+        let mut n = line_ipsec();
+        for _ in 0..300 {
+            n.add_gateway(0, pfx("10.1.0.0/16"), None);
+        }
+        let ips: Vec<Ip> = n.gws.iter().map(|g| g.public_ip).collect();
+        assert_eq!(ips[0], Ip::new(203, 0, 113, 1));
+        assert_eq!(ips[253], Ip::new(203, 0, 113, 254), "the first 254 are unchanged");
+        assert_eq!(ips.iter().collect::<std::collections::HashSet<_>>().len(), 300);
+        // Every gateway hangs off router 0 on a link of its own, so router
+        // 0 needs 300 distinct next hops; the others all point toward 0.
+        let fib = |u: usize| &n.net.node_ref::<CoreRouter>(n.node_ids[u]).fib;
+        let at_attach: std::collections::HashSet<usize> =
+            ips.iter().map(|&ip| *fib(0).lookup(ip).expect("route at attach router")).collect();
+        assert_eq!(at_attach.len(), 300);
+        for u in 1..3 {
+            let toward = n.topo.iface_toward(u, n.igp.next_hop(u, 0).expect("connected"));
+            for &ip in &ips {
+                assert_eq!(fib(u).lookup(ip), Some(&toward), "router {u}, gateway {ip:?}");
+            }
+        }
     }
 }

@@ -11,12 +11,12 @@
 //! so nothing downstream can classify on it — the mechanical core of the
 //! paper's §3 observation and of experiment Q2.
 
-use bytes::Bytes;
+use bytes::BytesMut;
 use netsim_net::ip::proto;
 use netsim_net::packet::EspHeader;
 use netsim_net::{wire, Dscp, Ip, Ipv4Header, Layer, NetError, Packet};
 
-use crate::auth::{icv, verify, ICV_LEN};
+use crate::auth::{IcvHasher, ICV_LEN};
 use crate::cipher::{FeistelCipher, BLOCK};
 use crate::sa::SecurityAssociation;
 
@@ -72,57 +72,74 @@ impl CryptoCostModel {
 /// Encapsulates `inner` in ESP tunnel mode under `sa`, producing the outer
 /// packet addressed `outer_src → outer_dst`. Simulation metadata is
 /// carried over so measurement survives the tunnel.
+///
+/// One pass over one exactly sized buffer: the inner packet is encoded
+/// straight into place behind the IV and encrypted in place, and each
+/// ciphertext block is fed to the ICV while the cipher works on the next.
 pub fn encapsulate(
     inner: &Packet,
     sa: &mut SecurityAssociation,
     outer_src: Ip,
     outer_dst: Ip,
 ) -> Packet {
-    let inner_bytes = wire::encode(inner).expect("inner packet must be encodable");
     let seq = sa.next_seq();
 
     // Pad to the cipher block: data ‖ 0x00.. ‖ pad_len ‖ next_header(=wire).
-    let mut body = inner_bytes;
-    let unpadded = body.len() + 2;
-    let pad = (BLOCK - unpadded % BLOCK) % BLOCK;
-    body.extend(std::iter::repeat_n(0u8, pad));
-    body.push(pad as u8);
-    body.push(0x04); // next header: IP-in-IP, as tunnel mode uses
+    let inner_len = wire::encoded_len(inner);
+    let pad = (BLOCK - (inner_len + 2) % BLOCK) % BLOCK;
+    let body_len = inner_len + pad + 2;
+
+    // Payload = IV ‖ ciphertext ‖ ICV(spi‖seq‖iv‖ciphertext).
+    let mut payload = BytesMut::zeroed(BLOCK + body_len + ICV_LEN);
+    let (iv_bytes, rest) = payload.split_at_mut(BLOCK);
+    let (body, tag) = rest.split_at_mut(body_len);
+    wire::encode_into(inner, &mut body[..inner_len]).expect("inner packet must be encodable");
+    // The pad bytes are already zero.
+    body[body_len - 2] = pad as u8;
+    body[body_len - 1] = 0x04; // next header: IP-in-IP, as tunnel mode uses
 
     // Deterministic per-packet IV (derived from the sequence number the
     // way many implementations derive from a counter).
     let cipher = FeistelCipher::new(sa.enc_key);
     let iv = cipher.encrypt_block(u64::from(seq) ^ 0xA5A5_5A5A_0F0F_F0F0);
-    cipher.cbc_encrypt(iv, &mut body);
-
-    // Payload = IV ‖ ciphertext ‖ ICV(spi‖seq‖iv‖ciphertext).
-    let mut payload = Vec::with_capacity(BLOCK + body.len() + ICV_LEN);
-    payload.extend_from_slice(&iv.to_be_bytes());
-    payload.extend_from_slice(&body);
-    let mut auth_scope = Vec::with_capacity(8 + payload.len());
-    auth_scope.extend_from_slice(&sa.spi.to_be_bytes());
-    auth_scope.extend_from_slice(&seq.to_be_bytes());
-    auth_scope.extend_from_slice(&payload);
-    payload.extend_from_slice(&icv(sa.auth_key, &auth_scope));
+    iv_bytes.copy_from_slice(&iv.to_be_bytes());
+    let mut mac = auth_prefix(sa.auth_key, sa.spi, seq, iv);
+    cipher.cbc_encrypt_each(iv, body, |b| mac.update(&[b]));
+    tag.copy_from_slice(&mac.finish());
 
     let outer_dscp = if sa.copy_dscp {
         inner.outer_ipv4().map(|h| h.dscp).unwrap_or(Dscp::BE)
     } else {
         Dscp::BE
     };
-    let mut outer = Packet::new(
-        vec![
+    let mut outer = Packet::from_layers(
+        &[
             Layer::Ipv4(Ipv4Header::new(outer_src, outer_dst, proto::ESP, outer_dscp)),
             Layer::Esp(EspHeader { spi: sa.spi, seq }),
         ],
-        Bytes::from(payload),
+        payload.freeze(),
     );
     outer.meta = inner.meta;
     outer
 }
 
+/// The ICV state after absorbing everything that precedes the ciphertext:
+/// SPI, sequence number and IV.
+fn auth_prefix(key: u64, spi: u32, seq: u32, iv: u64) -> IcvHasher {
+    let mut mac = IcvHasher::new(key);
+    mac.update(&spi.to_be_bytes());
+    mac.update(&seq.to_be_bytes());
+    mac.update(&iv.to_be_bytes());
+    mac
+}
+
 /// Reverses [`encapsulate`]: verifies integrity, enforces anti-replay,
 /// decrypts, and parses the inner packet.
+///
+/// The ciphertext is copied once, into the buffer that becomes the inner
+/// packet, and decrypted there while the ICV absorbs it. That decryption
+/// is speculative: on a bad ICV the buffer is dropped, and the replay
+/// window is consulted only after the ICV verifies (RFC 4303 order).
 pub fn decapsulate(outer: &Packet, sa: &mut SecurityAssociation) -> Result<Packet, IpsecError> {
     let esp = match (outer.layers().first(), outer.layers().get(1)) {
         (Some(Layer::Ipv4(h)), Some(Layer::Esp(e))) if h.protocol == proto::ESP => *e,
@@ -136,11 +153,12 @@ pub fn decapsulate(outer: &Packet, sa: &mut SecurityAssociation) -> Result<Packe
         return Err(IpsecError::BadPadding);
     }
     let (body, tag) = payload.split_at(payload.len() - ICV_LEN);
-    let mut auth_scope = Vec::with_capacity(8 + body.len());
-    auth_scope.extend_from_slice(&esp.spi.to_be_bytes());
-    auth_scope.extend_from_slice(&esp.seq.to_be_bytes());
-    auth_scope.extend_from_slice(body);
-    if !verify(sa.auth_key, &auth_scope, tag) {
+    let (iv_bytes, ct) = body.split_at(BLOCK);
+    let iv = u64::from_be_bytes(iv_bytes.try_into().expect("checked length"));
+    let mut mac = auth_prefix(sa.auth_key, esp.spi, esp.seq, iv);
+    let mut pt = BytesMut::from(ct);
+    FeistelCipher::new(sa.enc_key).cbc_decrypt_each(iv, &mut pt, |b| mac.update(&[b]));
+    if !mac.verify(tag) {
         return Err(IpsecError::BadIcv);
     }
     // Integrity verified before replay state is touched (RFC 4303 order).
@@ -148,25 +166,21 @@ pub fn decapsulate(outer: &Packet, sa: &mut SecurityAssociation) -> Result<Packe
         return Err(IpsecError::Replayed { seq: esp.seq });
     }
 
-    let iv = u64::from_be_bytes(body[..BLOCK].try_into().expect("checked length"));
-    let mut ct = body[BLOCK..].to_vec();
-    let cipher = FeistelCipher::new(sa.enc_key);
-    cipher.cbc_decrypt(iv, &mut ct);
-
     // Strip trailer.
-    if ct.len() < 2 {
+    if pt.len() < 2 {
         return Err(IpsecError::BadPadding);
     }
-    let next_hdr = ct[ct.len() - 1];
-    let pad_len = ct[ct.len() - 2] as usize;
-    if next_hdr != 0x04 || pad_len + 2 > ct.len() {
+    let next_hdr = pt[pt.len() - 1];
+    let pad_len = pt[pt.len() - 2] as usize;
+    if next_hdr != 0x04 || pad_len + 2 > pt.len() {
         return Err(IpsecError::BadPadding);
     }
-    let inner_len = ct.len() - 2 - pad_len;
-    if !ct[inner_len..ct.len() - 2].iter().all(|&b| b == 0) {
+    let inner_len = pt.len() - 2 - pad_len;
+    if !pt[inner_len..pt.len() - 2].iter().all(|&b| b == 0) {
         return Err(IpsecError::BadPadding);
     }
-    let mut inner = wire::decode(&ct[..inner_len]).map_err(IpsecError::BadInner)?;
+    let frame = pt.freeze().slice(..inner_len);
+    let mut inner = wire::decode_shared(&frame).map_err(IpsecError::BadInner)?;
     inner.meta = outer.meta;
     Ok(inner)
 }
@@ -174,6 +188,7 @@ pub fn decapsulate(outer: &Packet, sa: &mut SecurityAssociation) -> Result<Packe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use netsim_net::addr::ip;
 
     fn sa() -> SecurityAssociation {

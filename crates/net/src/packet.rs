@@ -100,12 +100,17 @@ const FILL: Layer = Layer::Vc(VcHeader { vc_id: 0, discard_eligible: false });
 /// heap vector beyond that. Both variants keep the stack contiguous so
 /// accessors can hand out plain slices.
 #[derive(Clone)]
-enum LayerStack {
+pub(crate) enum LayerStack {
     Inline { len: u8, buf: [Layer; INLINE_LAYERS] },
     Heap(Vec<Layer>),
 }
 
 impl LayerStack {
+    /// An empty stack.
+    pub(crate) fn new() -> Self {
+        LayerStack::Inline { len: 0, buf: [FILL; INLINE_LAYERS] }
+    }
+
     fn pair(a: Layer, b: Layer) -> Self {
         LayerStack::Inline { len: 2, buf: [a, b, FILL, FILL] }
     }
@@ -144,6 +149,25 @@ impl LayerStack {
                 }
             }
             LayerStack::Heap(v) => v.insert(0, layer),
+        }
+    }
+
+    /// Appends a new innermost layer.
+    pub(crate) fn push_back(&mut self, layer: Layer) {
+        match self {
+            LayerStack::Inline { len, buf } => {
+                let n = *len as usize;
+                if n < INLINE_LAYERS {
+                    buf[n] = layer;
+                    *len += 1;
+                } else {
+                    let mut v = Vec::with_capacity(INLINE_LAYERS * 2);
+                    v.extend_from_slice(buf);
+                    v.push(layer);
+                    *self = LayerStack::Heap(v);
+                }
+            }
+            LayerStack::Heap(v) => v.push(layer),
         }
     }
 
@@ -215,8 +239,23 @@ impl std::fmt::Debug for Packet {
 impl Packet {
     /// Creates a packet from layers (outermost first) and payload.
     pub fn new(layers: Vec<Layer>, payload: Bytes) -> Self {
-        let hdr_len = layers.iter().map(Layer::wire_len).sum::<usize>() as u32;
-        Packet { layers: layers.into(), hdr_len, payload, meta: PktMeta::default() }
+        Self::from_stack(layers.into(), payload)
+    }
+
+    /// Creates a packet from borrowed layers (outermost first) and payload.
+    /// Unlike [`Packet::new`], a stack of up to four layers is built
+    /// without touching the heap.
+    pub fn from_layers(layers: &[Layer], payload: Bytes) -> Self {
+        let mut stack = LayerStack::new();
+        for &l in layers {
+            stack.push_back(l);
+        }
+        Self::from_stack(stack, payload)
+    }
+
+    pub(crate) fn from_stack(layers: LayerStack, payload: Bytes) -> Self {
+        let hdr_len = layers.as_slice().iter().map(Layer::wire_len).sum::<usize>() as u32;
+        Packet { layers, hdr_len, payload, meta: PktMeta::default() }
     }
 
     /// Convenience: a UDP datagram with `payload_len` zero bytes of payload.

@@ -14,7 +14,7 @@ use crate::error::NetError;
 use crate::fr::VcHeader;
 use crate::ip::{internet_checksum, proto, Ipv4Header, IPV4_HEADER_LEN};
 use crate::mpls::MplsLabel;
-use crate::packet::{EspHeader, Layer, Packet, ESP_HEADER_LEN};
+use crate::packet::{EspHeader, Layer, LayerStack, Packet, ESP_HEADER_LEN};
 use crate::transport::{TcpHeader, UdpHeader, TCP_HEADER_LEN, UDP_HEADER_LEN};
 
 /// Ethertype for MPLS unicast.
@@ -24,83 +24,114 @@ pub const ETHERTYPE_IPV4: u16 = 0x0800;
 /// Ethertype used by the emulator for the frame-relay-like VC encapsulation.
 pub const ETHERTYPE_VC: u16 = 0x6559;
 
+/// Size in bytes of `pkt`'s wire form: the ethertype plus
+/// [`Packet::wire_len`].
+pub fn encoded_len(pkt: &Packet) -> usize {
+    2 + pkt.wire_len()
+}
+
 /// Serializes a packet to wire bytes (ethertype + headers + payload).
 ///
 /// Returns an error if the layer stack is not encodable (e.g. a transport
 /// header with no IPv4 above it, or an MPLS stack whose payload is not IPv4).
 pub fn encode(pkt: &Packet) -> Result<Vec<u8>, NetError> {
-    let mut out = Vec::with_capacity(2 + pkt.wire_len());
+    let mut out = vec![0; encoded_len(pkt)];
+    encode_into(pkt, &mut out)?;
+    Ok(out)
+}
+
+/// Serializes a packet into `out`, which must be exactly
+/// [`encoded_len`]`(pkt)` bytes long. Lets a caller place the wire form
+/// inside a larger buffer (ESP writes it between the IV and the trailer).
+/// On error the contents of `out` are unspecified.
+///
+/// # Panics
+/// Panics if `out` has the wrong length.
+pub fn encode_into(pkt: &Packet, out: &mut [u8]) -> Result<(), NetError> {
+    assert_eq!(out.len(), encoded_len(pkt), "encode_into needs an exactly sized buffer");
     let ethertype = match pkt.layers().first() {
         Some(Layer::Mpls(_)) => ETHERTYPE_MPLS,
         Some(Layer::Ipv4(_)) => ETHERTYPE_IPV4,
         Some(Layer::Vc(_)) => ETHERTYPE_VC,
         _ => return Err(NetError::bad_field("frame", "first layer", 0)),
     };
-    out.extend_from_slice(&ethertype.to_be_bytes());
+    let mut w = Writer { buf: out, pos: 0 };
+    w.put(&ethertype.to_be_bytes());
 
     let layers = pkt.layers();
     for (i, layer) in layers.iter().enumerate() {
         // Bytes that will follow this layer's header on the wire.
-        let remaining: usize =
-            layers[i + 1..].iter().map(Layer::wire_len).sum::<usize>() + pkt.payload.len();
+        let remaining = w.buf.len() - w.pos - layer.wire_len();
         match layer {
             Layer::Mpls(l) => {
                 let bos = !matches!(layers.get(i + 1), Some(Layer::Mpls(_)));
                 if bos && !matches!(layers.get(i + 1), Some(Layer::Ipv4(_))) {
                     return Err(NetError::bad_field("mpls", "payload type", i as u64));
                 }
-                out.extend_from_slice(&l.encode(bos).to_be_bytes());
+                w.put(&l.encode(bos).to_be_bytes());
             }
-            Layer::Ipv4(h) => encode_ipv4(&mut out, h, remaining),
+            Layer::Ipv4(h) => encode_ipv4(&mut w, h, remaining),
             Layer::Udp(u) => {
-                out.extend_from_slice(&u.src_port.to_be_bytes());
-                out.extend_from_slice(&u.dst_port.to_be_bytes());
+                w.put(&u.src_port.to_be_bytes());
+                w.put(&u.dst_port.to_be_bytes());
                 let len = (UDP_HEADER_LEN + remaining) as u16;
-                out.extend_from_slice(&len.to_be_bytes());
-                out.extend_from_slice(&0u16.to_be_bytes()); // checksum unused
+                w.put(&len.to_be_bytes());
+                w.put(&0u16.to_be_bytes()); // checksum unused
             }
             Layer::Tcp(t) => {
-                out.extend_from_slice(&t.src_port.to_be_bytes());
-                out.extend_from_slice(&t.dst_port.to_be_bytes());
-                out.extend_from_slice(&t.seq.to_be_bytes());
-                out.extend_from_slice(&t.ack.to_be_bytes());
-                out.push(5 << 4); // data offset, no options
-                out.push(t.flags);
-                out.extend_from_slice(&0xFFFFu16.to_be_bytes()); // window
-                out.extend_from_slice(&0u16.to_be_bytes()); // checksum unused
-                out.extend_from_slice(&0u16.to_be_bytes()); // urgent
+                w.put(&t.src_port.to_be_bytes());
+                w.put(&t.dst_port.to_be_bytes());
+                w.put(&t.seq.to_be_bytes());
+                w.put(&t.ack.to_be_bytes());
+                w.put(&[5 << 4, t.flags]); // data offset (no options), flags
+                w.put(&0xFFFFu16.to_be_bytes()); // window
+                w.put(&0u16.to_be_bytes()); // checksum unused
+                w.put(&0u16.to_be_bytes()); // urgent
             }
             Layer::Esp(e) => {
-                out.extend_from_slice(&e.spi.to_be_bytes());
-                out.extend_from_slice(&e.seq.to_be_bytes());
+                w.put(&e.spi.to_be_bytes());
+                w.put(&e.seq.to_be_bytes());
             }
             Layer::Vc(v) => {
                 if !matches!(layers.get(i + 1), Some(Layer::Ipv4(_))) {
                     return Err(NetError::bad_field("vc", "payload type", i as u64));
                 }
-                out.extend_from_slice(&v.encode().to_be_bytes());
+                w.put(&v.encode().to_be_bytes());
             }
         }
     }
-    out.extend_from_slice(&pkt.payload);
-    Ok(out)
+    w.put(&pkt.payload);
+    Ok(())
 }
 
-fn encode_ipv4(out: &mut Vec<u8>, h: &Ipv4Header, remaining: usize) {
-    let start = out.len();
-    out.push(0x45); // version 4, IHL 5
-    out.push(h.tos());
+/// Sequential writer over a pre-sized output buffer.
+struct Writer<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+}
+
+impl Writer<'_> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+        self.pos += bytes.len();
+    }
+}
+
+fn encode_ipv4(w: &mut Writer<'_>, h: &Ipv4Header, remaining: usize) {
+    let start = w.pos;
     let total = (IPV4_HEADER_LEN + remaining) as u16;
-    out.extend_from_slice(&total.to_be_bytes());
-    out.extend_from_slice(&h.id.to_be_bytes());
-    out.extend_from_slice(&0x4000u16.to_be_bytes()); // DF, no fragments
-    out.push(h.ttl);
-    out.push(h.protocol);
-    out.extend_from_slice(&0u16.to_be_bytes()); // checksum placeholder
-    out.extend_from_slice(&h.src.0.to_be_bytes());
-    out.extend_from_slice(&h.dst.0.to_be_bytes());
-    let ck = internet_checksum(&out[start..start + IPV4_HEADER_LEN]);
-    out[start + 10..start + 12].copy_from_slice(&ck.to_be_bytes());
+    w.put(&[0x45, h.tos()]); // version 4, IHL 5
+    w.put(&total.to_be_bytes());
+    w.put(&h.id.to_be_bytes());
+    w.put(&0x4000u16.to_be_bytes()); // DF, no fragments
+    w.put(&[h.ttl, h.protocol]);
+    w.put(&0u16.to_be_bytes()); // checksum placeholder
+    w.put(&h.src.0.to_be_bytes());
+    w.put(&h.dst.0.to_be_bytes());
+    let hdr = &mut w.buf[start..start + IPV4_HEADER_LEN];
+    let ck = internet_checksum(hdr);
+    hdr[10..12].copy_from_slice(&ck.to_be_bytes());
 }
 
 struct Cursor<'a> {
@@ -136,14 +167,28 @@ impl<'a> Cursor<'a> {
 /// Parses wire bytes back into a structured packet. The returned packet has
 /// default (zeroed) simulation metadata.
 pub fn decode(buf: &[u8]) -> Result<Packet, NetError> {
+    let (layers, hdr_end) = decode_layers(buf)?;
+    Ok(Packet::from_stack(layers, Bytes::copy_from_slice(&buf[hdr_end..])))
+}
+
+/// [`decode`] for a frame that is already a [`Bytes`]: the packet's
+/// payload is a view into `buf` rather than a copy.
+pub fn decode_shared(buf: &Bytes) -> Result<Packet, NetError> {
+    let (layers, hdr_end) = decode_layers(buf)?;
+    Ok(Packet::from_stack(layers, buf.slice(hdr_end..)))
+}
+
+/// Parses the layer headers; returns them with the offset where the
+/// payload starts.
+fn decode_layers(buf: &[u8]) -> Result<(LayerStack, usize), NetError> {
     let mut cur = Cursor { buf, pos: 0 };
     let ethertype = cur.u16("ethertype")?;
-    let mut layers = Vec::with_capacity(4);
+    let mut layers = LayerStack::new();
     match ethertype {
         ETHERTYPE_MPLS => {
             loop {
                 let (entry, bos) = MplsLabel::decode(cur.u32("mpls entry")?);
-                layers.push(Layer::Mpls(entry));
+                layers.push_back(Layer::Mpls(entry));
                 if bos {
                     break;
                 }
@@ -152,16 +197,15 @@ pub fn decode(buf: &[u8]) -> Result<Packet, NetError> {
         }
         ETHERTYPE_IPV4 => decode_ipv4_chain(&mut cur, &mut layers)?,
         ETHERTYPE_VC => {
-            layers.push(Layer::Vc(VcHeader::decode(cur.u32("vc header")?)));
+            layers.push_back(Layer::Vc(VcHeader::decode(cur.u32("vc header")?)));
             decode_ipv4_chain(&mut cur, &mut layers)?;
         }
         other => return Err(NetError::UnknownProtocol(other)),
     }
-    let payload = Bytes::copy_from_slice(&cur.buf[cur.pos..]);
-    Ok(Packet::new(layers, payload))
+    Ok((layers, cur.pos))
 }
 
-fn decode_ipv4_chain(cur: &mut Cursor<'_>, layers: &mut Vec<Layer>) -> Result<(), NetError> {
+fn decode_ipv4_chain(cur: &mut Cursor<'_>, layers: &mut LayerStack) -> Result<(), NetError> {
     let start = cur.pos;
     let hdr = cur.take(IPV4_HEADER_LEN, "ipv4 header")?;
     if hdr[0] != 0x45 {
@@ -181,7 +225,7 @@ fn decode_ipv4_chain(cur: &mut Cursor<'_>, layers: &mut Vec<Layer>) -> Result<()
     if total_len != body_len {
         return Err(NetError::bad_field("ipv4", "total length", total_len as u64));
     }
-    layers.push(Layer::Ipv4(Ipv4Header {
+    layers.push_back(Layer::Ipv4(Ipv4Header {
         src,
         dst,
         dscp: Dscp::new(tos >> 2),
@@ -197,7 +241,7 @@ fn decode_ipv4_chain(cur: &mut Cursor<'_>, layers: &mut Vec<Layer>) -> Result<()
             if len != UDP_HEADER_LEN + cur.remaining() {
                 return Err(NetError::bad_field("udp", "length", len as u64));
             }
-            layers.push(Layer::Udp(UdpHeader {
+            layers.push_back(Layer::Udp(UdpHeader {
                 src_port: u16::from_be_bytes([u[0], u[1]]),
                 dst_port: u16::from_be_bytes([u[2], u[3]]),
             }));
@@ -207,7 +251,7 @@ fn decode_ipv4_chain(cur: &mut Cursor<'_>, layers: &mut Vec<Layer>) -> Result<()
             if t[12] >> 4 != 5 {
                 return Err(NetError::bad_field("tcp", "data offset", u64::from(t[12] >> 4)));
             }
-            layers.push(Layer::Tcp(TcpHeader {
+            layers.push_back(Layer::Tcp(TcpHeader {
                 src_port: u16::from_be_bytes([t[0], t[1]]),
                 dst_port: u16::from_be_bytes([t[2], t[3]]),
                 seq: u32::from_be_bytes([t[4], t[5], t[6], t[7]]),
@@ -217,7 +261,7 @@ fn decode_ipv4_chain(cur: &mut Cursor<'_>, layers: &mut Vec<Layer>) -> Result<()
         }
         proto::ESP => {
             let e = cur.take(ESP_HEADER_LEN, "esp header")?;
-            layers.push(Layer::Esp(EspHeader {
+            layers.push_back(Layer::Esp(EspHeader {
                 spi: u32::from_be_bytes([e[0], e[1], e[2], e[3]]),
                 seq: u32::from_be_bytes([e[4], e[5], e[6], e[7]]),
             }));
@@ -239,7 +283,9 @@ mod tests {
         let back = decode(&bytes).expect("decode");
         assert_eq!(back.layers(), p.layers());
         assert_eq!(back.payload, p.payload);
-        assert_eq!(bytes.len(), 2 + p.wire_len());
+        assert_eq!(bytes.len(), encoded_len(p));
+        let shared = decode_shared(&Bytes::from(bytes)).expect("decode_shared");
+        assert_eq!(shared, back);
     }
 
     #[test]
@@ -305,6 +351,14 @@ mod tests {
         let bytes = encode(&p).unwrap();
         assert!(matches!(decode(&bytes[..10]), Err(NetError::Truncated { .. })));
         assert!(matches!(decode(&bytes[..1]), Err(NetError::Truncated { .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly sized")]
+    fn encode_into_rejects_wrong_size() {
+        let p = Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, 5);
+        let mut out = vec![0; encoded_len(&p) + 1];
+        let _ = encode_into(&p, &mut out);
     }
 
     #[test]

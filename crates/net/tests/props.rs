@@ -5,7 +5,7 @@ use bytes::Bytes;
 use netsim_net::ip::proto;
 use netsim_net::packet::EspHeader;
 use netsim_net::transport::{TcpHeader, UdpHeader};
-use netsim_net::wire::{decode, encode};
+use netsim_net::wire::{decode, decode_shared, encode, encode_into};
 use netsim_net::{Dscp, Ip, Ipv4Header, Layer, LpmTrie, MplsLabel, Packet, Prefix, VcHeader};
 use proptest::prelude::*;
 
@@ -83,7 +83,15 @@ proptest! {
         prop_assert_eq!(bytes.len(), 2 + pkt.wire_len());
         let back = decode(&bytes).expect("encoded packet must decode");
         prop_assert_eq!(back.layers(), pkt.layers());
-        prop_assert_eq!(back.payload, pkt.payload);
+        prop_assert_eq!(&back.payload, &pkt.payload);
+        // The shared-payload decoder agrees with the copying one.
+        let shared = decode_shared(&Bytes::from(bytes.clone())).expect("decode_shared");
+        prop_assert_eq!(&shared, &back);
+        // Encoding into a window of a larger buffer writes exactly there.
+        let mut framed = vec![0xA5; bytes.len() + 6];
+        encode_into(&pkt, &mut framed[3..3 + bytes.len()]).expect("encode_into");
+        prop_assert_eq!(&framed[3..3 + bytes.len()], &bytes[..]);
+        prop_assert!(framed[..3].iter().chain(&framed[3 + bytes.len()..]).all(|&b| b == 0xA5));
     }
 
     #[test]
