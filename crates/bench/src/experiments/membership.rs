@@ -6,9 +6,10 @@
 //! N−1 new circuit pairs, provisioned device by device.
 //!
 //! Two extra columns drive the same joins through a *running* backbone
-//! ([`backbone_join_series`]): the per-join cost of the in-band MP-BGP
-//! delta (update packets on the wire — flat) vs the oracle's full-table
-//! resync (route installs — grows with the table).
+//! ([`backbone_join_series`]): the per-join route deltas, carried as
+//! in-band MP-BGP update packets or installed out of band by the oracle.
+//! Both modes produce the same deltas, so once every PE hosts the VRF the
+//! two columns are equal and flat.
 
 use mplsvpn_core::membership::{
     backbone_join_series, mpls_join_series, overlay_join_series, JoinCost,
@@ -40,7 +41,7 @@ pub fn run(quick: bool) -> String {
             "mpls devices",
             "mpls messages",
             "in-band bgp pkts",
-            "oracle resync installs",
+            "oracle installs",
             "ovl devices",
             "ovl new circuits",
         ],

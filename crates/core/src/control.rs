@@ -1,12 +1,13 @@
 //! In-band incremental control plane (`ControlMode::InBand`).
 //!
-//! The oracle control plane recomputes IGP/LDP state globally and pushes
-//! every imported route into every VRF out-of-band. This module replaces
-//! that with *messages*: IGP link-state advertisements flood hop-by-hop as
+//! The oracle control plane recomputes IGP/LDP state globally and applies
+//! VPN route deltas out-of-band. This module replaces that with
+//! *messages*: IGP link-state advertisements flood hop-by-hop as
 //! CS6-marked control packets through the same links and queues as data,
 //! LDP mappings/withdraws ride single-hop session messages, and MP-BGP VPN
-//! updates (labels piggybacked on the route, per the paper's §4) travel
-//! PE-to-PE and are applied as deltas.
+//! deltas (labels piggybacked on the route, per the paper's §4) travel
+//! PE-to-PE. Both modes produce the same `VpnDelta`s and apply them with
+//! the same `VpnDelta::apply`; only their delivery differs.
 //!
 //! The shared [`ControlDb`] holds one *view* per router: what that node
 //! currently believes about the topology (failed links, its SPF tree) and
@@ -38,11 +39,10 @@ use crate::router::{VrfFib, VrfRoute};
 /// How routing, label and VPN state propagates through the backbone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ControlMode {
-    /// Out-of-band oracle: global IGP/LDP recomputation on demand and a
-    /// full-table route push into every VRF (`sync_remote_routes`). Zero
-    /// control packets on the wire; convergence is instantaneous at the
-    /// reconvergence instant. This is the historical behavior and remains
-    /// bit-identical to it.
+    /// Out-of-band oracle: global IGP/LDP recomputation on demand, and VPN
+    /// route deltas applied at their target PE the instant they are
+    /// produced. Zero control packets on the wire; convergence is
+    /// instantaneous at the reconvergence instant.
     #[default]
     Oracle,
     /// In-band event-driven control plane: LSAs flood hop-by-hop as CS6
@@ -100,34 +100,98 @@ pub(crate) enum CtrlMsg {
         /// Topology node withdrawing its binding.
         from: usize,
     },
-    /// MP-BGP VPN route update addressed to PE `target`: install
-    /// `prefix → (egress_pe, vpn_label)` into VRF slot `vrf_idx`. The VPN
-    /// label is piggybacked on the route update (paper §4). Forwarded
-    /// hop-by-hop toward the target PE.
-    BgpUpdate {
-        /// Destination PE ordinal.
-        target: usize,
-        /// VRF slot index at the target PE.
-        vrf_idx: usize,
-        /// Customer prefix being advertised.
-        prefix: Prefix,
-        /// Egress PE ordinal for the route.
-        egress_pe: usize,
-        /// VPN demultiplexing label at the egress PE.
-        vpn_label: u32,
-    },
-    /// MP-BGP VPN route withdrawal addressed to PE `target`, optionally
-    /// carrying the replacement best path (multihomed failover).
-    BgpWithdraw {
-        /// Destination PE ordinal.
-        target: usize,
-        /// VRF slot index at the target PE.
-        vrf_idx: usize,
-        /// Customer prefix being withdrawn.
-        prefix: Prefix,
-        /// New best path, if any survives the withdrawal.
-        replacement: Option<(usize, u32)>,
-    },
+    /// MP-BGP VPN route delta, forwarded hop-by-hop toward its target PE.
+    /// The VPN label is piggybacked on the route update (paper §4).
+    Vpn(VpnDelta),
+}
+
+/// One VPN-route change for one VRF: the unit both control modes
+/// produce when a site joins or leaves. Oracle mode applies it at the
+/// target PE at once; in-band mode carries it as a CS6 MP-BGP packet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct VpnDelta {
+    /// Destination PE ordinal.
+    pub(crate) target: usize,
+    /// VRF slot index at the target PE.
+    pub(crate) vrf_idx: usize,
+    /// Customer prefix that changed.
+    pub(crate) prefix: Prefix,
+    /// What changed about it.
+    pub(crate) change: VpnChange,
+}
+
+/// A VPN best path: (egress PE ordinal, VPN label at that egress).
+pub(crate) type VpnPath = (usize, u32);
+
+/// The two kinds of VPN route change. They differ only when the target
+/// has no LSP toward the new path's egress.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum VpnChange {
+    /// A better path appeared. Without an LSP toward it the existing
+    /// route stays in place.
+    Update(VpnPath),
+    /// The old path is gone; `Some` carries the next-best path. Without
+    /// an LSP toward that replacement the route is removed.
+    Withdraw(Option<VpnPath>),
+}
+
+/// How a [`VpnDelta`] landed in a VRF.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Applied {
+    /// A locally attached route holds the prefix; nothing changed.
+    LocalWins,
+    /// The new path was installed.
+    Installed,
+    /// The route was removed (a withdraw without replacement).
+    Removed,
+    /// No LSP toward the update's egress; the existing route was kept.
+    NoLspKept,
+    /// No LSP toward the withdraw's replacement; the route was removed.
+    NoLspRemoved,
+}
+
+impl Applied {
+    /// The target had no LSP toward the new path's egress.
+    pub(crate) fn no_lsp(self) -> bool {
+        matches!(self, Applied::NoLspKept | Applied::NoLspRemoved)
+    }
+}
+
+impl VpnDelta {
+    /// The path this delta would install, if any.
+    pub(crate) fn path(&self) -> Option<VpnPath> {
+        match self.change {
+            VpnChange::Update(p) => Some(p),
+            VpnChange::Withdraw(p) => p,
+        }
+    }
+
+    /// The one VPN-route applier. `tunnel` is the target's FTN toward
+    /// [`VpnDelta::path`]'s egress (`None` when there is no LSP). A
+    /// locally attached route always wins over an imported one; an update
+    /// without an LSP is counted as such even then.
+    pub(crate) fn apply(&self, vrf: &mut VrfFib, tunnel: Option<FtnEntry>) -> Applied {
+        if matches!(self.change, VpnChange::Update(_)) && tunnel.is_none() {
+            return Applied::NoLspKept;
+        }
+        if matches!(vrf.fib.get(self.prefix), Some(VrfRoute::Local { .. })) {
+            return Applied::LocalWins;
+        }
+        match (self.path(), tunnel) {
+            (Some((egress_pe, vpn_label)), Some(tunnel)) => {
+                vrf.fib.insert(self.prefix, VrfRoute::Remote { egress_pe, vpn_label, tunnel });
+                Applied::Installed
+            }
+            (Some(_), None) => {
+                vrf.fib.remove(self.prefix);
+                Applied::NoLspRemoved
+            }
+            (None, _) => {
+                vrf.fib.remove(self.prefix);
+                Applied::Removed
+            }
+        }
+    }
 }
 
 impl CtrlMsg {
@@ -135,7 +199,7 @@ impl CtrlMsg {
         match self {
             CtrlMsg::Lsa { .. } => PROTO_IGP,
             CtrlMsg::LdpMapping { .. } | CtrlMsg::LdpWithdraw { .. } => PROTO_LDP,
-            CtrlMsg::BgpUpdate { .. } | CtrlMsg::BgpWithdraw { .. } => PROTO_BGP,
+            CtrlMsg::Vpn(_) => PROTO_BGP,
         }
     }
 
@@ -145,7 +209,7 @@ impl CtrlMsg {
         match self {
             CtrlMsg::Lsa { .. } => 64,
             CtrlMsg::LdpMapping { .. } | CtrlMsg::LdpWithdraw { .. } => 32,
-            CtrlMsg::BgpUpdate { .. } | CtrlMsg::BgpWithdraw { .. } => 64,
+            CtrlMsg::Vpn(_) => 64,
         }
     }
 
@@ -187,9 +251,9 @@ pub struct CtrlStats {
     pub ldp_missing_binding: u64,
     /// BGP deltas applied into a VRF FIB.
     pub bgp_applied: u64,
-    /// Route installs skipped because the receiving PE has no LSP toward
-    /// the egress PE (counted, never a panic — see also the oracle-path
-    /// counter on `ProviderNetwork`).
+    /// BGP deltas whose receiving PE has no LSP toward the egress PE
+    /// (counted, never a panic — see also
+    /// `ProviderNetwork::no_lsp_to_egress`).
     pub no_lsp_to_egress: u64,
 }
 
@@ -389,53 +453,20 @@ impl ControlDb {
                 self.views[node].received.remove(&(Fec(fec), from));
                 self.repair_fec(node, fec as usize, tables, ctx);
             }
-            CtrlMsg::BgpUpdate { target, vrf_idx, prefix, egress_pe, vpn_label } => {
-                if self.pes[target] != node {
-                    let msg = CtrlMsg::BgpUpdate { target, vrf_idx, prefix, egress_pe, vpn_label };
-                    self.forward_toward(node, self.pes[target], msg, ctx);
+            CtrlMsg::Vpn(delta) => {
+                if self.pes[delta.target] != node {
+                    self.forward_toward(node, self.pes[delta.target], CtrlMsg::Vpn(delta), ctx);
                     return;
                 }
                 let Some(vrfs) = tables.vrfs.as_deref_mut() else { return };
-                let Some(ftn) = self.views[node].ftn.get(&Fec(egress_pe as u32)).cloned() else {
-                    self.stats.no_lsp_to_egress += 1;
-                    return;
-                };
-                let vrf = &mut vrfs[vrf_idx];
-                if matches!(vrf.fib.get(prefix), Some(VrfRoute::Local { .. })) {
-                    return; // locally attached always wins
+                let tunnel = delta
+                    .path()
+                    .and_then(|(egress, _)| self.views[node].ftn.get(&Fec(egress as u32)).cloned());
+                let applied = delta.apply(&mut vrfs[delta.vrf_idx], tunnel);
+                self.stats.no_lsp_to_egress += u64::from(applied.no_lsp());
+                if !matches!(applied, Applied::LocalWins | Applied::NoLspKept) {
+                    self.stats.bgp_applied += 1;
                 }
-                vrf.fib.insert(prefix, VrfRoute::Remote { egress_pe, vpn_label, tunnel: ftn });
-                self.stats.bgp_applied += 1;
-            }
-            CtrlMsg::BgpWithdraw { target, vrf_idx, prefix, replacement } => {
-                if self.pes[target] != node {
-                    let msg = CtrlMsg::BgpWithdraw { target, vrf_idx, prefix, replacement };
-                    self.forward_toward(node, self.pes[target], msg, ctx);
-                    return;
-                }
-                let Some(vrfs) = tables.vrfs.as_deref_mut() else { return };
-                let vrf = &mut vrfs[vrf_idx];
-                if matches!(vrf.fib.get(prefix), Some(VrfRoute::Local { .. })) {
-                    return;
-                }
-                match replacement {
-                    Some((egress_pe, vpn_label)) => {
-                        if let Some(ftn) = self.views[node].ftn.get(&Fec(egress_pe as u32)).cloned()
-                        {
-                            vrf.fib.insert(
-                                prefix,
-                                VrfRoute::Remote { egress_pe, vpn_label, tunnel: ftn },
-                            );
-                        } else {
-                            self.stats.no_lsp_to_egress += 1;
-                            vrf.fib.remove(prefix);
-                        }
-                    }
-                    None => {
-                        vrf.fib.remove(prefix);
-                    }
-                }
-                self.stats.bgp_applied += 1;
             }
         }
     }
@@ -596,28 +627,22 @@ impl ControlDb {
         self.send_msg(node, iface, msg, ctx);
     }
 
-    /// Prepares a BGP message for injection at `origin_node` (used by the
+    /// Prepares a VPN delta for injection at `origin_node` (used by the
     /// provider-network layer, which has no router context): returns the
     /// first-hop interface and the wire packet, or `None` if the origin's
     /// view has no path toward the target.
-    pub(crate) fn prepare_bgp_from(
+    pub(crate) fn prepare_vpn_from(
         &mut self,
         origin_node: usize,
-        msg: CtrlMsg,
+        delta: VpnDelta,
     ) -> Option<(IfaceId, Packet)> {
-        let target = match &msg {
-            CtrlMsg::BgpUpdate { target, .. } | CtrlMsg::BgpWithdraw { target, .. } => {
-                self.pes[*target]
-            }
-            _ => return None,
-        };
         self.stats.bgp_originated += 1;
-        let Some(nh) = self.views[origin_node].spf.next_hop[target] else {
+        let Some(nh) = self.views[origin_node].spf.next_hop[self.pes[delta.target]] else {
             self.stats.undeliverable += 1;
             return None;
         };
         let iface = self.topo.iface_toward(origin_node, nh);
-        Some((IfaceId(iface), self.prepare(origin_node, iface, msg)))
+        Some((IfaceId(iface), self.prepare(origin_node, iface, CtrlMsg::Vpn(delta))))
     }
 
     /// Builds the wire packet for `msg` leaving `node` on `iface` and does
@@ -704,5 +729,52 @@ fn repoint_vrfs(vrfs: &mut [VrfFib], egress_pe: usize, ftn: Option<&FtnEntry>) {
         for (p, vpn_label) in stale {
             vrf.fib.insert(p, VrfRoute::Remote { egress_pe, vpn_label, tunnel: t.clone() });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim_net::addr::pfx;
+
+    fn tunnel() -> FtnEntry {
+        FtnEntry { push: vec![16], out_iface: 0 }
+    }
+
+    fn remote(egress_pe: usize, vpn_label: u32) -> VrfRoute {
+        VrfRoute::Remote { egress_pe, vpn_label, tunnel: tunnel() }
+    }
+
+    /// The applier's one semantic split: without an LSP toward the new
+    /// path, an update keeps the old route and a withdraw removes it. A
+    /// local route wins over every delta.
+    #[test]
+    fn applier_keeps_on_update_and_removes_on_withdraw_without_lsp() {
+        let p = pfx("10.9.0.0/16");
+        let delta = |change| VpnDelta { target: 0, vrf_idx: 0, prefix: p, change };
+        let mut vrf = VrfFib::default();
+
+        let update = delta(VpnChange::Update((1, 7)));
+        assert_eq!(update.apply(&mut vrf, Some(tunnel())), Applied::Installed);
+        let better = delta(VpnChange::Update((0, 8)));
+        assert_eq!(better.apply(&mut vrf, None), Applied::NoLspKept);
+        assert_eq!(vrf.fib.get(p), Some(&remote(1, 7)));
+        let failover = delta(VpnChange::Withdraw(Some((2, 9))));
+        assert_eq!(failover.apply(&mut vrf, None), Applied::NoLspRemoved);
+        assert_eq!(vrf.fib.get(p), None);
+        assert_eq!(failover.apply(&mut vrf, Some(tunnel())), Applied::Installed);
+        assert_eq!(vrf.fib.get(p), Some(&remote(2, 9)));
+        let gone = delta(VpnChange::Withdraw(None));
+        assert_eq!(gone.apply(&mut vrf, None), Applied::Removed);
+        assert_eq!(vrf.fib.get(p), None);
+
+        let local = VrfRoute::Local { out_iface: 3 };
+        vrf.fib.insert(p, local.clone());
+        for d in [update, failover, gone] {
+            assert_eq!(d.apply(&mut vrf, Some(tunnel())), Applied::LocalWins);
+        }
+        assert_eq!(failover.apply(&mut vrf, None), Applied::LocalWins);
+        assert_eq!(update.apply(&mut vrf, None), Applied::NoLspKept);
+        assert_eq!(vrf.fib.get(p), Some(&local));
     }
 }

@@ -13,7 +13,7 @@
 //!    [`ProviderNetwork::add_site`]; the BGP/MPLS fabric distributes the
 //!    routes and the builder installs them into PE data planes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
 use netsim_net::{Ip, Packet, Prefix};
@@ -34,12 +34,14 @@ use netsim_sim::{
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::control::{ControlDb, ControlHandle, ControlMode, CtrlMsg, CtrlStats};
+use crate::control::{
+    Applied, ControlDb, ControlHandle, ControlMode, CtrlStats, VpnChange, VpnDelta, VpnPath,
+};
 use crate::router::{CeRouter, CoreRouter, PeRouter, VrfRoute};
 use crate::trace::TraceLog;
 
 /// Handle to a VPN created on a provider network.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VpnId(pub usize);
 
 /// Handle to a customer site.
@@ -146,6 +148,16 @@ pub(crate) struct VpnInfo {
     pub(crate) name: String,
     pub(crate) rt: RouteTarget,
     pub(crate) rd: RouteDistinguisher,
+}
+
+/// One VRF's state for a prefix, as the VPN-route producer diffs it.
+struct VrfSelection {
+    handle: VrfHandle,
+    vrf_idx: usize,
+    /// The VRF originates the prefix (a locally attached site).
+    local: bool,
+    /// The imported best path the fabric selected.
+    best: Option<VpnPath>,
 }
 
 /// Builder for a [`ProviderNetwork`].
@@ -319,7 +331,7 @@ impl BackboneBuilder {
             pes: self.pes,
             vpns: Vec::new(),
             sites: Vec::new(),
-            vrf_handles: HashMap::new(),
+            vrf_handles: BTreeMap::new(),
             access_rate_bps: self.access_rate_bps,
             access_delay_ns: self.access_delay_ns,
             trace: self.trace,
@@ -361,7 +373,8 @@ pub struct ProviderNetwork {
     pub(crate) vpns: Vec<VpnInfo>,
     /// All sites added so far, indexed by [`SiteId`].
     pub sites: Vec<SiteInfo>,
-    pub(crate) vrf_handles: HashMap<(usize, VpnId), (VrfHandle, usize)>,
+    /// Ordered by (PE, VPN), so every walk over the VRFs is deterministic.
+    pub(crate) vrf_handles: BTreeMap<(usize, VpnId), (VrfHandle, usize)>,
     access_rate_bps: u64,
     access_delay_ns: Nanos,
     trace: Option<TraceLog>,
@@ -375,11 +388,12 @@ pub struct ProviderNetwork {
     pub(crate) registry: MetricsRegistry,
     pub(crate) probes: Vec<crate::obs::ProbeSpec>,
     pub(crate) control: Option<ControlHandle>,
-    /// Oracle-path count of route installs skipped because the PE had no
-    /// LSP toward the egress (partition degradation; never a panic).
+    /// Route deltas applied directly (see `sync_route_pushes`) that found
+    /// no LSP toward the egress (partition degradation; never a panic).
     no_lsp_to_egress: u64,
-    /// Route installs performed by the oracle full-table sync — the
-    /// O(routes × VRFs) cost the in-band mode removes from the hot path.
+    /// Route installs from VPN deltas applied without a message: Oracle
+    /// delivery, a PE's deltas to its own VRFs (new-VRF downloads
+    /// included) and `sync_remote_routes`.
     sync_route_pushes: u64,
 }
 
@@ -446,30 +460,10 @@ impl ProviderNetwork {
                 let fwd = self.registry.counter(&format!("vrf.{name}.pe{pe}.forwarded"));
                 self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf_idx].set_forward_counter(fwd);
                 self.fabric.refresh_vrf(handle);
-                if self.control.is_some() {
-                    // In-band: a brand-new VRF gets its initial RIB
-                    // download directly (the one full pull the tentpole
-                    // permits at bring-up); afterwards only deltas arrive.
-                    let routes: Vec<(Prefix, netsim_routing::RemoteRoute)> =
-                        self.fabric.routes(handle).iter().map(|(p, r)| (p, *r)).collect();
-                    for (prefix, r) in routes {
-                        let ftn = self.control.as_ref().and_then(|db| {
-                            db.borrow().view_ftn(pe_topo, r.egress_pe as u32).cloned()
-                        });
-                        let Some(ftn) = ftn else {
-                            self.no_lsp_to_egress += 1;
-                            continue;
-                        };
-                        self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-                            vrf_idx,
-                            prefix,
-                            r.egress_pe,
-                            r.vpn_label,
-                            ftn,
-                        );
-                    }
-                }
                 self.vrf_handles.insert((pe, vpn), (handle, vrf_idx));
+                // A brand-new VRF gets its initial RIB download in place;
+                // afterwards only deltas arrive.
+                self.download_vrf(handle, vrf_idx);
                 (handle, vrf_idx)
             }
         };
@@ -487,42 +481,17 @@ impl ProviderNetwork {
         let declared = self.net.node_mut::<PeRouter>(pe_node).attach_customer_iface(vrf_idx);
         assert_eq!(declared, pe_if.0, "PE interface numbering out of sync");
 
-        // Advertise and install.
+        // Advertise and install locally, then send one update (VPN label
+        // piggybacked, §4) to each VRF whose best path changed.
+        let before = self.vpn_selections(handle, prefix);
         let label = self.fabric.advertise(handle, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(pe_node);
             per.install_local_route(vrf_idx, prefix, pe_if.0);
             per.install_vpn_label(label, vrf_idx);
         }
-        if self.control.is_some() {
-            // In-band: the join cost is O(delta) — one BGP update (VPN
-            // label piggybacked, §4) per importing PE, each travelling
-            // hop-by-hop as a CS6 control packet. No full-table resync.
-            for ((pe2, _vpn2), (h2, v2)) in self.sorted_vrf_handles() {
-                if pe2 == pe {
-                    continue;
-                }
-                let selected = self
-                    .fabric
-                    .routes(h2)
-                    .get(prefix)
-                    .is_some_and(|r| r.egress_pe == pe && r.vpn_label == label);
-                if !selected {
-                    continue;
-                }
-                self.inject_bgp(
-                    pe,
-                    CtrlMsg::BgpUpdate {
-                        target: pe2,
-                        vrf_idx: v2,
-                        prefix,
-                        egress_pe: pe,
-                        vpn_label: label,
-                    },
-                );
-            }
-        } else {
-            self.sync_remote_routes();
+        for delta in self.vpn_deltas(prefix, &before, |best| best.map(VpnChange::Update)) {
+            self.deliver_vpn_delta(pe, delta);
         }
 
         let site = SiteId(self.sites.len());
@@ -550,27 +519,15 @@ impl ProviderNetwork {
     /// another PE (a dual-homed site), every importer fails over to the
     /// surviving home.
     pub fn detach_site(&mut self, site: SiteId) {
-        let (vpn, pe, prefix, access_link, pe_iface) = {
+        let (vpn, pe, prefix, access_link) = {
             let s = &self.sites[site.0];
-            (s.vpn, s.pe, s.prefix, s.access_link, s.pe_iface)
+            (s.vpn, s.pe, s.prefix, s.access_link)
         };
         let (handle, vrf_idx) = self.vrf_handles[&(pe, vpn)];
         // The VPN label this home advertised for the prefix.
         let label =
             self.fabric.local_routes(handle).iter().find(|(p, _)| *p == prefix).map(|(_, l)| *l);
-        // In-band: snapshot every importer's current selection so the
-        // withdrawal becomes a per-importer delta message.
-        let handles = self.sorted_vrf_handles();
-        let before: Vec<Option<(usize, u32)>> = if self.control.is_some() {
-            handles
-                .iter()
-                .map(|&((_, _), (h2, _))| {
-                    self.fabric.routes(h2).get(prefix).map(|r| (r.egress_pe, r.vpn_label))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let before = self.vpn_selections(handle, prefix);
         self.fabric.withdraw(handle, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(self.pe_node(pe));
@@ -580,110 +537,132 @@ impl ProviderNetwork {
             }
         }
         self.net.set_link_enabled(access_link, false);
-        let _ = pe_iface;
-        if self.control.is_some() {
-            // The detaching PE itself fails over locally (it is the one
-            // touched device); every other importer whose selection
-            // changed gets a withdraw message carrying the replacement
-            // best path, if any.
-            if let Some(r) = self.fabric.routes(handle).get(prefix).copied() {
-                let pe_topo = self.pes[pe];
-                let ftn = self
-                    .control
-                    .as_ref()
-                    .and_then(|db| db.borrow().view_ftn(pe_topo, r.egress_pe as u32).cloned());
-                if let Some(ftn) = ftn {
-                    let node = self.pe_node(pe);
-                    self.net.node_mut::<PeRouter>(node).install_remote_route(
-                        vrf_idx,
-                        prefix,
-                        r.egress_pe,
-                        r.vpn_label,
-                        ftn,
-                    );
-                } else {
-                    self.no_lsp_to_egress += 1;
-                }
-            }
-            for (i, ((pe2, _vpn2), (h2, v2))) in handles.iter().copied().enumerate() {
-                if pe2 == pe {
-                    continue;
-                }
-                let now = self.fabric.routes(h2).get(prefix).map(|r| (r.egress_pe, r.vpn_label));
-                if now == before[i] {
-                    continue;
-                }
-                self.inject_bgp(
-                    pe,
-                    CtrlMsg::BgpWithdraw { target: pe2, vrf_idx: v2, prefix, replacement: now },
-                );
-            }
-        } else {
-            // Oracle: drop data-plane routes that no longer exist in the
-            // fabric, then install the failover selections.
-            for ((pe2, vpn2), (h2, v2)) in handles {
-                if vpn2 != vpn || pe2 == pe {
-                    continue;
-                }
-                let still_local = self.fabric.local_routes(h2).iter().any(|(p, _)| *p == prefix);
-                if !still_local && self.fabric.routes(h2).get(prefix).is_none() {
-                    let node = self.pe_node(pe2);
-                    self.net.node_mut::<PeRouter>(node).vrfs[v2].fib.remove(prefix);
-                }
-            }
-            self.sync_remote_routes();
+        // Every VRF whose best path changed — this PE's own VRF included,
+        // whose local route is gone — gets a withdraw carrying the
+        // replacement path, if any survives.
+        for delta in self.vpn_deltas(prefix, &before, |best| Some(VpnChange::Withdraw(best))) {
+            self.deliver_vpn_delta(pe, delta);
         }
     }
 
-    /// All (pe, vpn) → (handle, vrf index) pairs in a deterministic order.
-    fn sorted_vrf_handles(&self) -> Vec<((usize, VpnId), (VrfHandle, usize))> {
-        let mut v: Vec<((usize, VpnId), (VrfHandle, usize))> =
-            self.vrf_handles.iter().map(|(&k, &v)| (k, v)).collect();
-        v.sort_by_key(|&((pe, vpn), _)| (pe, vpn.0));
-        v
+    /// The state for `prefix` of every VRF that can hold `origin`'s route
+    /// for it, in (PE, VPN) order: `origin` itself and each VRF importing
+    /// one of its export targets. Routes travel only along shared route
+    /// targets, export targets are never removed, and
+    /// [`ProviderNetwork::remove_import_target`] re-filters the table, so
+    /// no other VRF's selection can change.
+    fn vpn_selections(&self, origin: VrfHandle, prefix: Prefix) -> Vec<VrfSelection> {
+        let exports = self.fabric.export_targets(origin);
+        self.vrf_handles
+            .values()
+            .filter(|&&(handle, _)| {
+                handle == origin
+                    || self.fabric.import_targets(handle).iter().any(|rt| exports.contains(rt))
+            })
+            .map(|&(handle, vrf_idx)| self.vpn_selection(handle, vrf_idx, prefix))
+            .collect()
     }
 
-    /// Originates an in-band BGP control message at PE `origin_pe`,
-    /// injecting it toward its target along the origin's current view of
-    /// the shortest path. No-op in Oracle mode or when the target is
-    /// unreachable (counted as undeliverable).
-    fn inject_bgp(&mut self, origin_pe: usize, msg: CtrlMsg) {
-        let Some(db) = &self.control else { return };
-        let origin_node = self.pes[origin_pe];
-        if let Some((iface, pkt)) = db.borrow_mut().prepare_bgp_from(origin_node, msg) {
-            self.net.inject(self.node_ids[origin_node], iface, pkt);
+    /// One VRF's state for `prefix`: whether it originates the prefix, and
+    /// the imported best path the fabric selected for it.
+    fn vpn_selection(&self, handle: VrfHandle, vrf_idx: usize, prefix: Prefix) -> VrfSelection {
+        VrfSelection {
+            handle,
+            vrf_idx,
+            local: self.fabric.local_routes(handle).iter().any(|(p, _)| *p == prefix),
+            best: self.fabric.routes(handle).get(prefix).map(|r| (r.egress_pe, r.vpn_label)),
         }
     }
 
-    /// Pushes the fabric's current imported routes into every PE data
-    /// plane. Called automatically by [`ProviderNetwork::add_site`].
+    /// The VPN-route producer: diffs each VRF's selection for `prefix`
+    /// against `before` (taken ahead of a fabric change) and returns one
+    /// delta per VRF whose imported best path changed, or whose local
+    /// route went away and so exposes the imported one. `change` turns
+    /// the new best path into the delta kind (`None` sends nothing).
+    fn vpn_deltas(
+        &self,
+        prefix: Prefix,
+        before: &[VrfSelection],
+        change: impl Fn(Option<VpnPath>) -> Option<VpnChange>,
+    ) -> Vec<VpnDelta> {
+        before
+            .iter()
+            .filter_map(|was| {
+                let now = self.vpn_selection(was.handle, was.vrf_idx, prefix);
+                let local_lost = was.local && !now.local;
+                if now.best == was.best && !local_lost {
+                    return None;
+                }
+                let change = change(now.best)?;
+                Some(VpnDelta { target: was.handle.pe, vrf_idx: was.vrf_idx, prefix, change })
+            })
+            .collect()
+    }
+
+    /// Delivers a VPN delta originated at PE `origin_pe`: the one place
+    /// the control modes differ for VPN routes. Oracle mode — and any PE
+    /// updating its own VRF — applies it at once; in-band mode sends it as
+    /// an MP-BGP packet along the origin's current shortest path (counted
+    /// undeliverable when there is none).
+    fn deliver_vpn_delta(&mut self, origin_pe: usize, delta: VpnDelta) {
+        match &self.control {
+            Some(db) if delta.target != origin_pe => {
+                let origin = self.pes[origin_pe];
+                let prepared = db.borrow_mut().prepare_vpn_from(origin, delta);
+                if let Some((iface, pkt)) = prepared {
+                    self.net.inject(self.node_ids[origin], iface, pkt);
+                }
+            }
+            _ => self.apply_vpn_delta(delta),
+        }
+    }
+
+    /// Applies a VPN delta at its target PE now, on the tunnel that PE
+    /// currently forwards on toward the new path's egress.
+    fn apply_vpn_delta(&mut self, delta: VpnDelta) {
+        let pe_topo = self.pes[delta.target];
+        let tunnel = delta.path().and_then(|(egress, _)| self.tunnel_ftn(pe_topo, egress));
+        let per = self.net.node_mut::<PeRouter>(self.node_ids[pe_topo]);
+        match delta.apply(&mut per.vrfs[delta.vrf_idx], tunnel) {
+            Applied::Installed => self.sync_route_pushes += 1,
+            a if a.no_lsp() => self.no_lsp_to_egress += 1,
+            _ => {}
+        }
+    }
+
+    /// Installs one VRF's whole imported table from the fabric.
+    fn download_vrf(&mut self, handle: VrfHandle, vrf_idx: usize) {
+        let routes: Vec<(Prefix, VpnPath)> = self
+            .fabric
+            .routes(handle)
+            .iter()
+            .map(|(p, r)| (p, (r.egress_pe, r.vpn_label)))
+            .collect();
+        for (prefix, path) in routes {
+            let change = VpnChange::Update(path);
+            self.apply_vpn_delta(VpnDelta { target: handle.pe, vrf_idx, prefix, change });
+        }
+    }
+
+    /// The tunnel FTN toward PE ordinal `egress` that topology node `node`
+    /// forwards on: the oracle LDP domain's entry in Oracle mode, the
+    /// node's own view in in-band mode.
+    fn tunnel_ftn(&self, node: usize, egress: usize) -> Option<netsim_mpls::FtnEntry> {
+        match &self.control {
+            None => self.ldp.nodes[node].ftn.get(&Fec(egress as u32)).cloned(),
+            Some(db) => db.borrow().view_ftn(node, egress as u32).cloned(),
+        }
+    }
+
+    /// Re-installs the fabric's imported routes into every PE data plane
+    /// on the current tunnels. [`ProviderNetwork::reconverge`] calls it
+    /// after rebuilding LDP; call it yourself after editing the fabric
+    /// directly. Where a PE has no LSP toward the egress the existing
+    /// route stays and the skip is counted.
     pub fn sync_remote_routes(&mut self) {
-        let handles: Vec<((usize, VpnId), (VrfHandle, usize))> =
-            self.vrf_handles.iter().map(|(&k, &v)| (k, v)).collect();
-        for ((pe, _vpn), (handle, vrf_idx)) in handles {
-            let pe_topo = self.pes[pe];
-            let pe_node = self.node_ids[pe_topo];
-            let routes: Vec<(Prefix, netsim_routing::RemoteRoute)> =
-                self.fabric.routes(handle).iter().map(|(p, r)| (p, *r)).collect();
-            for (prefix, r) in routes {
-                let Some(ftn) = self.ldp.nodes[pe_topo].ftn.get(&Fec(r.egress_pe as u32)) else {
-                    // No LSP toward the egress (a partitioned PE, or a
-                    // healthy-looking fabric ahead of reconvergence):
-                    // leave any existing route in place and count the
-                    // degradation instead of aborting the run.
-                    self.no_lsp_to_egress += 1;
-                    continue;
-                };
-                let ftn = ftn.clone();
-                self.sync_route_pushes += 1;
-                self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-                    vrf_idx,
-                    prefix,
-                    r.egress_pe,
-                    r.vpn_label,
-                    ftn,
-                );
-            }
+        let vrfs: Vec<(VrfHandle, usize)> = self.vrf_handles.values().copied().collect();
+        for (handle, vrf_idx) in vrfs {
+            self.download_vrf(handle, vrf_idx);
         }
     }
 
@@ -900,31 +879,11 @@ impl ProviderNetwork {
 
     fn apply_refilter(&mut self, pe: usize, handle: VrfHandle, vrf_idx: usize) {
         let (added, removed) = self.fabric.refilter_vrf(handle);
-        let pe_topo = self.pes[pe];
-        let pe_node = self.node_ids[pe_topo];
-        for (prefix, _) in removed {
-            let per = self.net.node_mut::<PeRouter>(pe_node);
-            if matches!(per.vrfs[vrf_idx].fib.get(prefix), Some(VrfRoute::Local { .. })) {
-                continue; // locally attached routes never leave via policy
-            }
-            per.vrfs[vrf_idx].fib.remove(prefix);
-        }
-        for (prefix, r) in added {
-            let ftn = match &self.control {
-                None => self.ldp.nodes[pe_topo].ftn.get(&Fec(r.egress_pe as u32)).cloned(),
-                Some(db) => db.borrow().view_ftn(pe_topo, r.egress_pe as u32).cloned(),
-            };
-            let Some(ftn) = ftn else {
-                self.no_lsp_to_egress += 1;
-                continue;
-            };
-            self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-                vrf_idx,
-                prefix,
-                r.egress_pe,
-                r.vpn_label,
-                ftn,
-            );
+        let removed = removed.into_iter().map(|(prefix, _)| (prefix, VpnChange::Withdraw(None)));
+        let added =
+            added.into_iter().map(|(p, r)| (p, VpnChange::Update((r.egress_pe, r.vpn_label))));
+        for (prefix, change) in removed.chain(added) {
+            self.apply_vpn_delta(VpnDelta { target: pe, vrf_idx, prefix, change });
         }
     }
 
@@ -944,14 +903,19 @@ impl ProviderNetwork {
         self.control.as_ref().map(|db| db.borrow().stats())
     }
 
-    /// Route installs skipped for lack of an LSP toward the egress, summed
-    /// over the oracle sync path and the in-band message path.
+    /// Route deltas that found no LSP toward the egress, summed over the
+    /// deltas the network layer applies directly and the in-band MP-BGP
+    /// messages.
     pub fn no_lsp_to_egress(&self) -> u64 {
         self.no_lsp_to_egress
             + self.control.as_ref().map_or(0, |db| db.borrow().stats.no_lsp_to_egress)
     }
 
-    /// Route installs performed by the oracle full-table sync so far.
+    /// Route installs applied directly by the network layer so far: every
+    /// VPN delta in Oracle mode, each PE's updates to its own VRFs (the
+    /// new-VRF download included) in both modes, and every install
+    /// [`ProviderNetwork::sync_remote_routes`] performs. In-band MP-BGP
+    /// deltas are counted in [`CtrlStats::bgp_applied`] instead.
     pub fn sync_route_pushes(&self) -> u64 {
         self.sync_route_pushes
     }
@@ -994,10 +958,7 @@ impl ProviderNetwork {
     /// forwarding path must not.
     pub fn lsp_path(&mut self, ingress: usize, egress: usize) -> Option<Vec<usize>> {
         let start = self.pes[ingress];
-        let ftn = match &self.control {
-            None => self.ldp.nodes[start].ftn.get(&Fec(egress as u32)).cloned(),
-            Some(db) => db.borrow().view_ftn(start, egress as u32).cloned(),
-        }?;
+        let ftn = self.tunnel_ftn(start, egress)?;
         let want = self.pes[egress];
         self.walk_tunnel(start, &ftn, want)
     }
@@ -1080,8 +1041,10 @@ impl ProviderNetwork {
 
     /// Rebinds one remote route at an ingress PE onto a different tunnel
     /// (e.g. a TE LSP from [`ProviderNetwork::install_explicit_lsp`]).
-    /// Call after all sites are added — [`ProviderNetwork::add_site`]'s
-    /// route sync would otherwise restore the LDP tunnel.
+    /// The override holds until a route delta for the same prefix reaches
+    /// this VRF (the prefix joins or leaves elsewhere) or
+    /// [`ProviderNetwork::sync_remote_routes`] (also run by
+    /// [`ProviderNetwork::reconverge`]) restores the LDP tunnel.
     ///
     /// # Panics
     /// Panics if the VRF or the route does not exist at that PE.
@@ -1232,13 +1195,14 @@ impl ProviderNetwork {
             });
         }
         self.ldp = ldp;
-        self.sync_remote_routes();
         if let Some(db) = &self.control {
             // An explicit reconvergence on an in-band network is the
             // safety net: re-seed every router's view from the fresh
-            // oracle so views and tables stay coherent.
+            // oracle so views and tables stay coherent (and the route
+            // sync below reads the fresh tunnels).
             db.borrow_mut().rebuild(&self.igp, &self.ldp, &self.failed_links);
         }
+        self.sync_remote_routes();
         ControlSummary {
             igp_lsa_messages: self.igp.lsa_messages(),
             ldp_messages: self.ldp.messages,

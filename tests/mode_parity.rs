@@ -271,26 +271,76 @@ fn partition_counts_no_lsp_to_egress_instead_of_panicking() {
     }
 }
 
-/// Detaching the only remote site leaves the importing VRF without the
-/// route in both modes (satellite: withdraw coverage).
+/// Detaching a site evicts its route from every importer in both modes:
+/// an intranet VRF of the same VPN and an extranet VRF of another VPN
+/// that imports it through an extra route target.
 #[test]
 fn detach_withdraws_remotely_in_both_modes() {
+    let gone: mplsvpn::net::Prefix = "10.2.0.0/16".parse().unwrap();
     for mode in [ControlMode::Oracle, ControlMode::InBand] {
         let (t, p) = fish();
         let mut pn = BackboneBuilder::new(t, p).detection(20 * MSEC).control_mode(mode).build();
         let vpn = pn.new_vpn("acme");
+        let extranet = pn.new_vpn("buynlarge");
         pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
-        let far = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
+        pn.add_site(extranet, 0, "10.8.0.0/16".parse().unwrap(), None);
+        let far = pn.add_site(vpn, 1, gone, None);
+        pn.add_import_target(0, extranet, RouteTarget(100 + vpn.0 as u64));
         pn.run_for(100 * MSEC);
-        assert!(
-            pn.vrf_digest(0, vpn).iter().any(|(p, _)| *p == "10.2.0.0/16".parse().unwrap()),
-            "route present before detach"
-        );
+        for v in [vpn, extranet] {
+            assert!(
+                pn.vrf_digest(0, v).iter().any(|(p, _)| *p == gone),
+                "{v:?} imports the route before detach ({mode:?})"
+            );
+        }
         pn.detach_site(far);
         pn.run_for(100 * MSEC);
-        assert!(
-            pn.vrf_digest(0, vpn).iter().all(|(p, _)| *p != "10.2.0.0/16".parse().unwrap()),
-            "withdraw evicted the route ({mode:?})"
-        );
+        for v in [vpn, extranet] {
+            assert!(
+                pn.vrf_digest(0, v).iter().all(|(p, _)| *p != gone),
+                "withdraw evicted the route from {v:?} ({mode:?})"
+            );
+        }
+    }
+}
+
+/// A dual-homed prefix fails over at its own origin PE too: when the
+/// PE1 home of 10.9/16 detaches, PE1's VRF loses its local route and
+/// must pick up the route imported from the surviving home on PE2, on a
+/// live tunnel. The remote importer on PE0 fails over the same way.
+#[test]
+fn detach_fails_the_origin_pe_over_to_the_surviving_home() {
+    let served: mplsvpn::net::Prefix = "10.9.0.0/16".parse().unwrap();
+    for mode in [ControlMode::Oracle, ControlMode::InBand] {
+        let mut topo = Topology::new(3);
+        let attrs = LinkAttrs { cost: 1, capacity_bps: 10_000_000 };
+        for (u, v) in [(0, 1), (1, 2), (2, 0)] {
+            topo.add_link(u, v, attrs);
+        }
+        let mut pn = BackboneBuilder::new(topo, vec![0, 1, 2])
+            .detection(20 * MSEC)
+            .control_mode(mode)
+            .build();
+        let vpn = pn.new_vpn("acme");
+        pn.add_site(vpn, 0, "10.0.0.0/16".parse().unwrap(), None);
+        pn.add_site(vpn, 1, "10.1.0.0/16".parse().unwrap(), None);
+        let primary = pn.add_site(vpn, 1, served, None);
+        pn.add_site(vpn, 2, served, None);
+        pn.run_for(100 * MSEC);
+        let row = |pn: &mut ProviderNetwork, pe| {
+            pn.vrf_digest(pe, vpn).into_iter().find(|(p, _)| *p == served).map(|(_, r)| r)
+        };
+        assert_eq!(row(&mut pn, 1), Some(None), "PE1 serves 10.9/16 locally ({mode:?})");
+        assert!(matches!(row(&mut pn, 0), Some(Some((1, _, Some(_))))), "PE0 prefers PE1");
+
+        pn.detach_site(primary);
+        pn.run_for(100 * MSEC);
+        for pe in [1, 0] {
+            let Some(Some((egress, _label, path))) = row(&mut pn, pe) else {
+                panic!("PE{pe} lost 10.9/16 instead of failing over ({mode:?})");
+            };
+            assert_eq!(egress, 2, "PE{pe} fails over to the PE2 home ({mode:?})");
+            assert_eq!(path, Some(vec![pe, 2]), "PE{pe} rides a live tunnel ({mode:?})");
+        }
     }
 }
