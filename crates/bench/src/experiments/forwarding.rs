@@ -117,7 +117,7 @@ pub fn php_ablation() -> Vec<(&'static str, u64, u64, u64)> {
     for (name, php) in [("PHP on", true), ("PHP off", false)] {
         let (t, pes) = crate::topo::line(2, 1000);
         let mut pn = BackboneBuilder::new(t, pes).php(php).build();
-        let labels = pn.ldp.total_labels();
+        let labels = pn.control_summary().ldp_labels;
         let vpn = pn.new_vpn("acme");
         let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
         let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);

@@ -19,9 +19,9 @@
 //!   [`FaultPlan`] against the network under either failover mode.
 //!
 //! A bypass is single-level protection: the bypass LSP itself is never
-//! rerouted, and [`ProviderNetwork::reconverge`] — which rebuilds every
-//! LFIB from scratch — erases all protection state. Re-protect after
-//! re-optimizing.
+//! rerouted, and [`ProviderNetwork::reconverge`] — which repairs every
+//! LFIB onto the new shortest paths — clears all protection state.
+//! Re-protect after re-optimizing.
 
 use netsim_qos::Nanos;
 use netsim_sim::{FaultAction, FaultPlan};
@@ -68,7 +68,8 @@ pub struct FaultOutcome {
     /// Global reconvergences run (always 0 under
     /// [`FailoverMode::FastReroute`]).
     pub reconvergences: u64,
-    /// IGP + LDP messages those reconvergences cost.
+    /// IGP + LDP messages those reconvergences delivered (counted, not
+    /// estimated).
     pub control_messages: u64,
 }
 
@@ -142,9 +143,9 @@ impl ProviderNetwork {
 
     /// Runs [`ProviderNetwork::reconverge`], but first records how many
     /// failed directions FRR was actively carrying — separating the local
-    /// switchover from the global re-optimization. Reconvergence rebuilds
-    /// every LFIB and therefore *erases all protection state*; re-protect
-    /// afterwards if FRR should survive the next failure.
+    /// switchover from the global re-optimization. Reconvergence clears
+    /// *all protection state*; re-protect afterwards if FRR should survive
+    /// the next failure.
     pub fn reconverge_summary(&mut self) -> ReconvergeSummary {
         let switchovers = self.active_switchovers();
         let detection_ns = self.detect_ns;
@@ -193,8 +194,8 @@ impl ProviderNetwork {
                 FaultAction::Repair => Step::Repair(ev.link),
             };
             steps.push((ev.at, step));
-            // Under in-band control the LSA flood *is* the reaction; the
-            // oracle reconvergence only stands in for it in Oracle mode.
+            // Under in-band control the LSA flood *is* the reaction; Oracle
+            // reconvergence delivers the same flood instantly.
             if mode == FailoverMode::GlobalReconverge && self.control_mode() == ControlMode::Oracle
             {
                 steps.push((ev.at + self.detect_ns, Step::Reconverge));

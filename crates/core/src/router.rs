@@ -222,7 +222,9 @@ impl Node for CoreRouter {
             self.lfib.set_iface_down(iface, down);
             if let Some(db) = &self.control {
                 let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None };
-                db.borrow_mut().on_link_event(self.topo_id, iface, down, &mut tables, ctx);
+                let mut db = db.borrow_mut();
+                db.on_link_event(self.topo_id, iface, down, &mut tables, ctx.now());
+                db.flush(ctx);
             }
         }
     }
@@ -644,7 +646,9 @@ impl Node for PeRouter {
             self.lfib.set_iface_down(iface, down);
             if let Some(db) = &self.control {
                 let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: Some(&mut self.vrfs) };
-                db.borrow_mut().on_link_event(self.topo_id, iface, down, &mut tables, ctx);
+                let mut db = db.borrow_mut();
+                db.on_link_event(self.topo_id, iface, down, &mut tables, ctx.now());
+                db.flush(ctx);
             }
         }
     }

@@ -88,20 +88,16 @@ impl ProviderNetwork {
         }
 
         let mut walks = Vec::new();
-        for (u, (lnode, ldp_node)) in nodes.iter().zip(&self.ldp.nodes).enumerate() {
-            let mut ftns: Vec<_> = ldp_node.ftn.iter().collect();
-            ftns.sort_by_key(|(fec, _)| fec.0);
-            for (fec, ftn) in ftns {
-                let egress = self.ldp.egress.get(fec).copied();
-                if egress == Some(u) {
-                    continue;
-                }
+        let db = self.control.borrow();
+        for (u, lnode) in nodes.iter().enumerate() {
+            for (f, &egress) in self.pes.iter().enumerate() {
+                let Some(ftn) = db.view_ftn(u, f as u32) else { continue };
                 walks.push(StackWalk {
                     origin: u,
-                    fec: format!("{} Fec({})", lnode.name, fec.0),
+                    fec: format!("{} Fec({f})", lnode.name),
                     push: ftn.push.clone(),
                     out_iface: ftn.out_iface,
-                    expect_delivery: egress,
+                    expect_delivery: Some(egress),
                 });
             }
         }

@@ -16,10 +16,9 @@
 //! reconvergence, bypass LSPs), odd seeds run global reconvergence after
 //! every fault event.
 //!
-//! Both *control* modes run too: the default is the oracle; setting
-//! `CHAOS_CONTROL_MODE=inband` rebuilds every scenario with the in-band
-//! message-driven control plane, whose CS6 packets share links and
-//! queues with the data — the conservation ledger then carries explicit
+//! Both *control* modes run every seed: the oracle, and the in-band
+//! message-driven control plane, whose CS6 packets share links and queues
+//! with the data — the conservation ledger then carries explicit
 //! control-plane send/terminate terms.
 
 use mplsvpn::routing::{LinkAttrs, Topology};
@@ -31,13 +30,11 @@ use mplsvpn::vpn::{
     BackboneBuilder, CeRouter, ControlMode, CoreRouter, FailoverMode, PeRouter, ProviderNetwork,
 };
 
-/// The control mode under test: `CHAOS_CONTROL_MODE=inband` opts in to
-/// the message-driven control plane; anything else runs the oracle.
-fn control_mode() -> ControlMode {
-    match std::env::var("CHAOS_CONTROL_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("inband") => ControlMode::InBand,
-        _ => ControlMode::Oracle,
-    }
+/// Every (control mode, seed) pair the harness runs.
+fn cases() -> impl Iterator<Item = (ControlMode, u64)> {
+    [ControlMode::Oracle, ControlMode::InBand]
+        .into_iter()
+        .flat_map(|mode| (0..8).map(move |seed| (mode, seed)))
 }
 
 /// Sources stop emitting here…
@@ -78,8 +75,9 @@ struct Scenario {
     sinks: Vec<(NodeId, Vec<u64>)>,
 }
 
-/// Builds the seeded scenario and replays its fault plan to `RUN_END`.
-fn run_scenario(seed: u64) -> Scenario {
+/// Builds the seeded scenario under `control` and replays its fault plan
+/// to `RUN_END`.
+fn run_scenario(control: ControlMode, seed: u64) -> Scenario {
     let (topo, pes, cuttable) = if seed % 4 < 2 { fish() } else { ladder() };
     let mode = if seed.is_multiple_of(2) {
         FailoverMode::FastReroute
@@ -87,10 +85,8 @@ fn run_scenario(seed: u64) -> Scenario {
         FailoverMode::GlobalReconverge
     };
     let link_count = topo.link_count();
-    let mut pn = BackboneBuilder::new(topo, pes.clone())
-        .detection(25 * MSEC)
-        .control_mode(control_mode())
-        .build();
+    let mut pn =
+        BackboneBuilder::new(topo, pes.clone()).detection(25 * MSEC).control_mode(control).build();
 
     // Two VPNs with the *same* address plan: the harshest isolation test.
     let mut sinks = Vec::new();
@@ -148,8 +144,8 @@ fn router_terminations(s: &mut Scenario) -> (u64, u64) {
 
 #[test]
 fn chaos_packet_conservation_holds_under_any_failure_order() {
-    for seed in 0..8 {
-        let mut s = run_scenario(seed);
+    for (mode, seed) in cases() {
+        let mut s = run_scenario(mode, seed);
         let sent: u64 = s
             .sources
             .iter()
@@ -178,13 +174,13 @@ fn chaos_packet_conservation_holds_under_any_failure_order() {
         assert_eq!(
             sent + ctrl_sent,
             delivered + link_dropped + router_dropped + delivered_local + ctrl_terminated + queued,
-            "conservation broke at seed {seed}: sent={sent} ctrl_sent={ctrl_sent} \
+            "conservation broke at seed {seed} ({mode:?}): sent={sent} ctrl_sent={ctrl_sent} \
              delivered={delivered} link_dropped={link_dropped} \
              router_dropped={router_dropped} local={delivered_local} \
              ctrl_terminated={ctrl_terminated} queued={queued}"
         );
-        assert!(sent > 0, "seed {seed} generated no traffic");
-        assert!(delivered > 0, "seed {seed} delivered nothing — network dead");
+        assert!(sent > 0, "seed {seed} ({mode:?}) generated no traffic");
+        assert!(delivered > 0, "seed {seed} ({mode:?}) delivered nothing — network dead");
     }
 }
 
@@ -194,8 +190,8 @@ fn chaos_every_loss_has_a_recorded_cause() {
     //    with the raw drop counters, and per VPN every packet a source
     //    emitted is delivered, attributed to a cause, absorbed locally,
     //    or still queued. No loss may go unexplained.
-    for seed in 0..8 {
-        let mut s = run_scenario(seed);
+    for (mode, seed) in cases() {
+        let mut s = run_scenario(mode, seed);
         let link_dropped: u64 = (0..s.pn.net.link_count())
             .flat_map(|l| (0..2).map(move |d| (l, d)))
             .map(|(l, d)| s.pn.net.link_stats(LinkId(l), d).dropped)
@@ -205,7 +201,7 @@ fn chaos_every_loss_has_a_recorded_cause() {
         assert_eq!(
             rec.total_drops(),
             link_dropped + router_dropped,
-            "recorder disagrees with raw drop counters at seed {seed}: {:?}",
+            "recorder disagrees with raw drop counters at seed {seed} ({mode:?}): {:?}",
             rec.cause_rows()
         );
 
@@ -223,7 +219,7 @@ fn chaos_every_loss_has_a_recorded_cause() {
                 let attributed = rec.flow_drops(flow) + rec.absorbed_of(flow);
                 let deficit = (sent - rx).checked_sub(attributed).unwrap_or_else(|| {
                     panic!(
-                        "flow {flow} over-attributed at seed {seed}: sent={sent} rx={rx} \
+                        "flow {flow} over-attributed at seed {seed} ({mode:?}): sent={sent} rx={rx} \
                          causes={:?} absorbed={}",
                         rec.flow_causes(flow),
                         rec.absorbed_of(flow)
@@ -237,7 +233,7 @@ fn chaos_every_loss_has_a_recorded_cause() {
         assert_eq!(
             explained_deficit,
             s.pn.net.queued_packets(),
-            "unexplained losses at seed {seed}: {:?}",
+            "unexplained losses at seed {seed} ({mode:?}): {:?}",
             rec.cause_rows()
         );
     }
@@ -245,8 +241,8 @@ fn chaos_every_loss_has_a_recorded_cause() {
 
 #[test]
 fn chaos_no_cross_vrf_delivery_ever() {
-    for seed in 0..8 {
-        let s = run_scenario(seed);
+    for (mode, seed) in cases() {
+        let s = run_scenario(mode, seed);
         let all_ids: Vec<u64> = s.sinks.iter().flat_map(|(_, ids)| ids.iter().copied()).collect();
         for (sink, own_ids) in &s.sinks {
             let sink = s.pn.net.node_ref::<Sink>(*sink);
@@ -254,10 +250,16 @@ fn chaos_no_cross_vrf_delivery_ever() {
             // flows: per-flow counts must add up to the absolute total.
             let own_rx: u64 =
                 own_ids.iter().filter_map(|&id| sink.flow(id)).map(|f| f.rx_packets).sum();
-            assert_eq!(own_rx, sink.total_packets, "foreign packets at a VRF sink, seed {seed}");
+            assert_eq!(
+                own_rx, sink.total_packets,
+                "foreign packets at a VRF sink, seed {seed} ({mode:?})"
+            );
             // And no foreign flow id ever materialized.
             for id in all_ids.iter().filter(|id| !own_ids.contains(id)) {
-                assert!(sink.flow(*id).is_none(), "flow {id} leaked across VRFs, seed {seed}");
+                assert!(
+                    sink.flow(*id).is_none(),
+                    "flow {id} leaked across VRFs, seed {seed} ({mode:?})"
+                );
             }
         }
     }
@@ -265,10 +267,10 @@ fn chaos_no_cross_vrf_delivery_ever() {
 
 #[test]
 fn chaos_replays_are_bit_identical() {
-    for seed in 0..8 {
-        let sig_a = signature(run_scenario(seed));
-        let sig_b = signature(run_scenario(seed));
-        assert_eq!(sig_a, sig_b, "seed {seed} did not replay identically");
+    for (mode, seed) in cases() {
+        let sig_a = signature(run_scenario(mode, seed));
+        let sig_b = signature(run_scenario(mode, seed));
+        assert_eq!(sig_a, sig_b, "seed {seed} ({mode:?}) did not replay identically");
     }
 }
 
