@@ -1,16 +1,18 @@
 //! `bench_sim` — the tracked packets/sec + events/sec throughput harness.
 //!
 //! Runs the end-to-end VPN data path (host→CE→PE→P→P→PE→CE→sink) under
-//! three scenarios and reports simulator throughput as machine-readable
-//! JSON (`BENCH_sim.json`), so every PR has a perf trajectory to defend:
+//! three scenarios, plus one control-plane scenario, and reports simulator
+//! throughput as machine-readable JSON (`BENCH_sim.json`), so every PR has
+//! a perf trajectory to defend:
 //!
 //! * `vpn_path_fifo` — best-effort core, one near-saturating CBR flow.
 //! * `vpn_path_diffserv` — DiffServ (priority + RED) core, same flow.
 //! * `diffserv_congested_mix` — 2× overloaded bottleneck, EF + AF31 + BE
 //!   mix (exercises drops, RED and the priority scheduler per event).
 //! * `control_inband_joins` — in-band control plane under membership
-//!   churn on a full-mesh backbone: the packets here are MP-BGP/LDP/IGP
-//!   messages, so `pps` tracks the cost of the control-message path.
+//!   churn (paired joins and detaches) on a 16-PE ring: the ~10⁵ packets
+//!   here are MP-BGP messages, so `pps` tracks the cost of the
+//!   control-message path.
 //!
 //! Only the event loop is timed; topology construction and control-plane
 //! convergence are excluded. All workloads are CBR and seeded, so the
@@ -134,13 +136,15 @@ fn congested_mix(packets: u64) -> Scenario {
     }
 }
 
-/// In-band control-plane churn: round-robin site joins on a full-mesh
-/// backbone. Every "packet" in this scenario is a control message —
-/// MP-BGP updates fanning out per join, plus the LDP/IGP bring-up — so
-/// the reported rate prices the control-message path itself.
+/// In-band control-plane churn on a 16-PE ring: round-robin site joins,
+/// each detached again before the next, so every VRF stays small. Every
+/// "packet" in this scenario is an MP-BGP update or withdraw forwarded hop
+/// by hop to each other PE (about 128 per join/detach pair), so the
+/// reported rate prices the control-message path itself: encode, send,
+/// decode, then apply or forward.
 fn control_inband_joins(_packets: u64) -> Scenario {
-    let n = 6;
-    let topo = netsim_routing::Topology::full_mesh(
+    let n = 16;
+    let topo = netsim_routing::Topology::ring(
         n,
         netsim_routing::LinkAttrs { cost: 1, capacity_bps: 1_000_000_000 },
     );
@@ -148,20 +152,23 @@ fn control_inband_joins(_packets: u64) -> Scenario {
         .control_mode(mplsvpn_core::ControlMode::InBand)
         .build();
     let vpn = pn.new_vpn("churn");
-    // Pinned independent of `packets`: the per-run bring-up cost would
-    // otherwise make quick-mode pps incomparable to the tracked full-run
-    // baseline (the --check floor is a ratio of the two).
-    let joins: u64 = 40;
+    // Pinned independent of `packets` (about 10^5 messages): the per-run
+    // bring-up cost would otherwise make quick-mode pps incomparable to
+    // the tracked full-run baseline (the --check floor is a ratio of the
+    // two).
+    let pairs = 800;
     let start = Instant::now();
-    for i in 0..joins {
-        let pe = (i as usize) % n;
-        pn.add_site(vpn, pe, mplsvpn_core::membership::site_prefix(i as usize), None);
-        pn.run_for(5_000_000); // 5 ms: one-hop propagation on the mesh
+    for i in 0..pairs {
+        let pe = i % n;
+        let site = pn.add_site(vpn, pe, mplsvpn_core::membership::site_prefix(pe), None);
+        pn.run_for(10_000_000); // 10 ms: past the ring's 8-hop diameter
+        pn.detach_site(site);
+        pn.run_for(10_000_000);
     }
     pn.run_to_quiescence();
     let wall_ns = start.elapsed().as_nanos();
     let stats = pn.control_stats().expect("in-band network exposes control stats");
-    assert!(stats.pkts_terminated > 0, "control joins: no messages processed");
+    assert!(stats.pkts_terminated >= 100_000, "control joins: {} messages", stats.pkts_terminated);
     assert_eq!(stats.pkts_sent, stats.pkts_terminated, "all control messages must land");
     Scenario {
         name: "control_inband_joins",

@@ -4,11 +4,11 @@
 //! ride single-hop session messages, and MP-BGP VPN deltas (labels
 //! piggybacked on the route, per the paper's §4) travel PE-to-PE. Every
 //! produced message lands in an outbox; emptying it is the only mode
-//! difference. `ControlMode::InBand` routers flush it to the wire as CS6
-//! packets sharing links and queues with data; `ControlMode::Oracle`
-//! reconvergence drains it instantly through `ControlDb::apply`, the
-//! function in-band routers call on arrival. VPN deltas likewise share
-//! one applier, `VpnDelta::apply`.
+//! difference. In-band, `ControlDb::prepare` turns each message into a
+//! CS6 packet whose payload is the encoded message, sharing links and
+//! queues with data; `ControlMode::Oracle` reconvergence drains it
+//! instantly through `ControlDb::apply`, the function in-band routers
+//! call on arrival. VPN deltas likewise share one applier, `VpnDelta::apply`.
 //!
 //! The shared [`ControlDb`] holds one *view* per router — the network's
 //! only IGP/LDP state: what that node believes about the topology (failed
@@ -30,7 +30,7 @@ use netsim_mpls::ldp::{Fec, LdpNodeState};
 use netsim_mpls::lfib::{FtnEntry, LabelOp, Lfib, Nhlfe};
 use netsim_mpls::LabelSpace;
 use netsim_net::mpls::IMPLICIT_NULL;
-use netsim_net::{Dscp, Ip, Packet, Prefix};
+use netsim_net::{Bytes, BytesMut, Dscp, Ip, Packet, Prefix};
 use netsim_obs::Histogram;
 use netsim_qos::Nanos;
 use netsim_routing::igp::spf_filtered;
@@ -70,11 +70,14 @@ const PROTO_IGP: usize = 0;
 const PROTO_LDP: usize = 1;
 const PROTO_BGP: usize = 2;
 
-/// A typed control message. The on-wire packet carries only CS6-marked
-/// UDP bytes of a representative size; the structured content rides in the
-/// database's side table keyed by the packet's `meta.seq`, mirroring how
-/// the data plane never parses control payloads.
-#[derive(Clone, Debug)]
+/// Encoded length in `u64` words per message tag (1 LSA, 2 LDP mapping,
+/// 3 LDP withdraw, 4 MP-BGP); tag 0 is never sent.
+const TAG_WORDS: [usize; 5] = [0, 8, 4, 4, 8];
+
+/// A typed control message. It travels as the UDP payload of a CS6 packet
+/// ([`CtrlMsg::encode`]); the receiving router decodes it from there, so
+/// an in-flight message lives only in its packet.
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum CtrlMsg {
     /// Link-state advertisement: link `link` changed to `down` at event
     /// sequence `seq`. Flooded hop-by-hop; deduplicated per (link, seq).
@@ -208,22 +211,61 @@ impl CtrlMsg {
         }
     }
 
-    /// Representative payload size in bytes (headers are added by
-    /// `Packet::udp`); keeps per-link control-byte counters meaningful.
-    fn payload_len(&self) -> usize {
-        match self {
-            CtrlMsg::Lsa { .. } => 64,
-            CtrlMsg::LdpMapping { .. } | CtrlMsg::LdpWithdraw { .. } => 32,
-            CtrlMsg::Vpn(_) => 64,
+    /// The wire payload: a tag word plus fields as little-endian `u64`
+    /// words, zero-padded to [`TAG_WORDS`] (32 B for LDP, 64 B for LSA and
+    /// MP-BGP). Written in place into one allocation.
+    pub(crate) fn encode(&self) -> Bytes {
+        let words = match *self {
+            CtrlMsg::Lsa { link, down, seq } => [1, link as u64, down.into(), seq, 0, 0, 0, 0],
+            CtrlMsg::LdpMapping { fec, label, from } => {
+                [2, fec.into(), label.into(), from as u64, 0, 0, 0, 0]
+            }
+            CtrlMsg::LdpWithdraw { fec, from } => [3, fec.into(), from as u64, 0, 0, 0, 0, 0],
+            CtrlMsg::Vpn(VpnDelta { target, vrf_idx, prefix, change }) => {
+                let (kind, (egress, label)) = match change {
+                    VpnChange::Update(p) => (0, p),
+                    VpnChange::Withdraw(Some(p)) => (1, p),
+                    VpnChange::Withdraw(None) => (2, (0, 0)),
+                };
+                let pfx = u64::from(prefix.addr().0) << 8 | u64::from(prefix.len());
+                [4, target as u64, vrf_idx as u64, pfx, kind, egress as u64, label.into(), 0]
+            }
+        };
+        let mut buf = BytesMut::zeroed(8 * TAG_WORDS[words[0] as usize]);
+        for (b, w) in buf.chunks_exact_mut(8).zip(words) {
+            b.copy_from_slice(&w.to_le_bytes());
         }
+        buf.freeze()
     }
 
-    fn port(&self) -> u16 {
-        match self.proto() {
-            PROTO_IGP => 89,
-            PROTO_LDP => 646,
-            _ => 179,
+    /// Inverse of [`CtrlMsg::encode`]; `None`, never a panic, for an
+    /// unknown tag, a wrong length or a field too wide for its type.
+    pub(crate) fn decode(buf: &[u8]) -> Option<CtrlMsg> {
+        let mut w = [0u64; 8];
+        for (w, b) in w.iter_mut().zip(buf.chunks_exact(8)) {
+            *w = u64::from_le_bytes(b.try_into().ok()?);
         }
+        let u32_at = |i: usize| u32::try_from(w[i]).ok();
+        let msg = match w[0] {
+            1 => CtrlMsg::Lsa { link: w[1] as usize, down: w[2] != 0, seq: w[3] },
+            2 => CtrlMsg::LdpMapping { fec: u32_at(1)?, label: u32_at(2)?, from: w[3] as usize },
+            3 => CtrlMsg::LdpWithdraw { fec: u32_at(1)?, from: w[2] as usize },
+            4 => {
+                let path = (w[5] as usize, u32_at(6)?);
+                let change = match w[4] {
+                    0 => VpnChange::Update(path),
+                    1 => VpnChange::Withdraw(Some(path)),
+                    2 => VpnChange::Withdraw(None),
+                    _ => return None,
+                };
+                let len = u8::try_from(w[3] & 0xff).ok().filter(|&l| l <= 32)?;
+                let prefix = Prefix::new(Ip(u32::try_from(w[3] >> 8).ok()?), len);
+                let (target, vrf_idx) = (w[1] as usize, w[2] as usize);
+                CtrlMsg::Vpn(VpnDelta { target, vrf_idx, prefix, change })
+            }
+            _ => return None,
+        };
+        (buf.len() == 8 * TAG_WORDS[w[0] as usize]).then_some(msg)
     }
 }
 
@@ -290,8 +332,9 @@ pub(crate) struct NodeTables<'a> {
     pub vrfs: Option<&'a mut Vec<VrfFib>>,
 }
 
-/// The shared control database: per-node views, the outbox, the message
-/// side table, and control-plane telemetry.
+/// The shared control database: per-node views, the outbox and
+/// control-plane telemetry. No per-packet state: a sent message lives
+/// only in its packet's payload.
 pub struct ControlDb {
     topo: Topology,
     pes: Vec<usize>,
@@ -299,11 +342,6 @@ pub struct ControlDb {
     /// Messages produced and not yet delivered, in production order:
     /// (sending node, interface it leaves on, message).
     outbox: VecDeque<(usize, usize, CtrlMsg)>,
-    /// Structured content of in-flight control packets, keyed by the
-    /// packet's `meta.seq`. Entries are removed on termination; packets
-    /// purged at dead links leak their (bounded) entries harmlessly.
-    msgs: FxHashMap<u64, CtrlMsg>,
-    next_msg_id: u64,
     /// Per-link event sequence, bumped once per fail/repair at the
     /// provider-network level so both endpoints originate the same LSA.
     link_seq: Vec<u64>,
@@ -346,8 +384,6 @@ impl ControlDb {
             pes: pes.to_vec(),
             views,
             outbox: VecDeque::new(),
-            msgs: FxHashMap::default(),
-            next_msg_id: 1,
             link_seq: vec![0; nl],
             episodes: FxHashMap::default(),
             ctrl_bytes_by_link: vec![0; nl],
@@ -417,8 +453,9 @@ impl ControlDb {
         }
     }
 
-    /// A control packet arrived at `node` on `iface`: terminate it, apply
-    /// its message, and put what that produces on the wire.
+    /// A control packet arrived at `node` on `iface`: terminate it, decode
+    /// and apply its message (ignored if it does not decode or names an
+    /// unknown link, FEC, PE or VRF), and put what that produces on the wire.
     pub(crate) fn on_control_packet(
         &mut self,
         node: usize,
@@ -428,15 +465,15 @@ impl ControlDb {
         ctx: &mut Ctx,
     ) {
         self.stats.pkts_terminated += 1;
-        if let Some(msg) = self.msgs.remove(&pkt.meta.seq) {
+        if let Some(msg) = CtrlMsg::decode(&pkt.payload) {
             self.apply(node, iface, msg, tables, ctx.now());
         }
         self.flush(ctx);
     }
 
     /// Applies (or forwards) one message that reached `node` on `iface`.
-    /// Both deliveries end here: in-band routers after the side-table
-    /// lookup, Oracle reconvergence straight from the outbox.
+    /// Both deliveries end here: in-band routers after decoding it from
+    /// the packet, Oracle reconvergence straight from the outbox.
     pub(crate) fn apply(
         &mut self,
         node: usize,
@@ -458,15 +495,18 @@ impl ControlDb {
                 self.repair_fec(node, fec as usize, tables, None);
             }
             CtrlMsg::Vpn(delta) => {
-                if self.pes[delta.target] != node {
-                    self.forward_toward(node, self.pes[delta.target], msg);
+                let Some(&target) = self.pes.get(delta.target) else { return };
+                if target != node {
+                    self.forward_toward(node, target, msg);
                     return;
                 }
-                let Some(vrfs) = tables.vrfs.as_deref_mut() else { return };
+                let Some(vrf) = tables.vrfs.as_mut().and_then(|v| v.get_mut(delta.vrf_idx)) else {
+                    return;
+                };
                 let tunnel = delta
                     .path()
                     .and_then(|(egress, _)| self.views[node].ftn.get(&Fec(egress as u32)).cloned());
-                let applied = delta.apply(&mut vrfs[delta.vrf_idx], tunnel);
+                let applied = delta.apply(vrf, tunnel);
                 self.stats.no_lsp_to_egress += u64::from(applied.no_lsp());
                 if !matches!(applied, Applied::LocalWins | Applied::NoLspKept) {
                     self.stats.bgp_applied += 1;
@@ -489,7 +529,7 @@ impl ControlDb {
         now: Nanos,
     ) {
         let view = &mut self.views[node];
-        let (s_seq, s_down) = view.link_state[link];
+        let Some(&(s_seq, s_down)) = view.link_state.get(link) else { return };
         let fresh = seq > s_seq || (seq == s_seq && down != s_down);
         if !fresh {
             return;
@@ -536,7 +576,7 @@ impl ControlDb {
         tables: &mut NodeTables<'_>,
         prev: Option<&SpfTree>,
     ) {
-        let egress = self.pes[f];
+        let Some(&egress) = self.pes.get(f) else { return };
         if node == egress {
             return;
         }
@@ -601,7 +641,7 @@ impl ControlDb {
 
     /// Forwards a PE-addressed message one hop along the current view's
     /// shortest path toward the target node.
-    fn forward_toward(&mut self, node: usize, target_node: usize, msg: CtrlMsg) {
+    pub(crate) fn forward_toward(&mut self, node: usize, target_node: usize, msg: CtrlMsg) {
         let Some(nh) = self.views[node].spf.next_hop[target_node] else {
             self.stats.undeliverable += 1;
             return;
@@ -610,8 +650,8 @@ impl ControlDb {
         self.outbox.push_back((node, iface, msg));
     }
 
-    /// In-band delivery: puts every produced message on the wire as a CS6
-    /// packet, in production order.
+    /// In-band delivery from a router: puts every produced message on the
+    /// wire as a CS6 packet, in production order.
     pub(crate) fn flush(&mut self, ctx: &mut Ctx) {
         while let Some((node, iface, msg)) = self.outbox.pop_front() {
             let pkt = self.prepare(node, iface, msg);
@@ -619,52 +659,30 @@ impl ControlDb {
         }
     }
 
-    /// Oracle delivery: the oldest produced message not yet delivered.
+    /// The oldest produced message not yet delivered: Oracle delivery
+    /// applies it, in-band delivery outside a router hands it to
+    /// [`ControlDb::prepare`].
     pub(crate) fn next_outgoing(&mut self) -> Option<(usize, usize, CtrlMsg)> {
         self.outbox.pop_front()
     }
 
-    /// Prepares a VPN delta for injection at `origin_node` (used by the
-    /// provider-network layer, which has no router context): returns the
-    /// first-hop interface and the wire packet, or `None` if the origin's
-    /// view has no path toward the target.
-    pub(crate) fn prepare_vpn_from(
-        &mut self,
-        origin_node: usize,
-        delta: VpnDelta,
-    ) -> Option<(IfaceId, Packet)> {
-        self.stats.bgp_originated += 1;
-        let Some(nh) = self.views[origin_node].spf.next_hop[self.pes[delta.target]] else {
-            self.stats.undeliverable += 1;
-            return None;
-        };
-        let iface = self.topo.iface_toward(origin_node, nh);
-        Some((IfaceId(iface), self.prepare(origin_node, iface, CtrlMsg::Vpn(delta))))
-    }
-
-    /// Builds the wire packet for `msg` leaving `node` on `iface` and does
-    /// all send-side bookkeeping (side table, counters, per-link bytes).
-    fn prepare(&mut self, node: usize, iface: usize, msg: CtrlMsg) -> Packet {
-        let id = self.next_msg_id;
-        self.next_msg_id += 1;
+    /// Builds the wire packet for `msg` leaving `node` on `iface`: the
+    /// encoded message is its payload. Does all send-side bookkeeping
+    /// (counters, per-link bytes); `meta.seq` numbers packets for traces.
+    pub(crate) fn prepare(&mut self, node: usize, iface: usize, msg: CtrlMsg) -> Packet {
         let proto = msg.proto();
-        let mut pkt = Packet::udp(
-            Ip(0xC0DE_0000 + node as u32),
-            Ip(0xC0DE_FFFF),
-            msg.port(),
-            msg.port(),
-            Dscp::CS6,
-            msg.payload_len(),
-        );
-        pkt.meta.flow = CTRL_FLOW_BASE + proto as u64;
-        pkt.meta.seq = id;
+        let port = [89, 646, 179][proto];
+        let mut pkt =
+            Packet::udp(Ip(0xC0DE_0000 + node as u32), Ip(0xC0DE_FFFF), port, port, Dscp::CS6, 0);
+        pkt.payload = msg.encode();
         self.stats.pkts_by_proto[proto] += 1;
         self.stats.pkts_sent += 1;
+        pkt.meta.flow = CTRL_FLOW_BASE + proto as u64;
+        pkt.meta.seq = self.stats.pkts_sent;
         self.stats.bytes_sent += pkt.wire_len() as u64;
         if let Some((_, _, link)) = self.topo.neighbors(node).nth(iface) {
             self.ctrl_bytes_by_link[link] += pkt.wire_len() as u64;
         }
-        self.msgs.insert(id, msg);
         pkt
     }
 
@@ -783,5 +801,104 @@ mod tests {
         assert_eq!(failover.apply(&mut vrf, None), Applied::LocalWins);
         assert_eq!(update.apply(&mut vrf, None), Applied::NoLspKept);
         assert_eq!(vrf.fib.get(p), Some(&local));
+    }
+
+    /// One message of every kind: both LSA states, both LDP messages,
+    /// all three VPN change kinds, and /0, /16 and /32 prefixes.
+    fn every_message() -> Vec<CtrlMsg> {
+        let vpn = |prefix: &str, change| {
+            CtrlMsg::Vpn(VpnDelta { target: 3, vrf_idx: 9, prefix: pfx(prefix), change })
+        };
+        vec![
+            CtrlMsg::Lsa { link: 5, down: true, seq: 1 },
+            CtrlMsg::Lsa { link: 0, down: false, seq: u64::MAX },
+            CtrlMsg::LdpMapping { fec: 2, label: IMPLICIT_NULL, from: 7 },
+            CtrlMsg::LdpMapping { fec: u32::MAX, label: 1_048_575, from: usize::MAX },
+            CtrlMsg::LdpWithdraw { fec: 1, from: 4 },
+            vpn("10.9.0.0/16", VpnChange::Update((1, 17))),
+            vpn("255.255.255.255/32", VpnChange::Withdraw(Some((2, u32::MAX)))),
+            vpn("0.0.0.0/0", VpnChange::Withdraw(None)),
+        ]
+    }
+
+    #[test]
+    fn codec_round_trips_every_message_at_its_nominal_size() {
+        for msg in every_message() {
+            let buf = msg.encode();
+            let nominal = if msg.proto() == PROTO_LDP { 32 } else { 64 };
+            assert_eq!(buf.len(), nominal, "{msg:?}");
+            assert_eq!(CtrlMsg::decode(&buf), Some(msg));
+        }
+    }
+
+    #[test]
+    fn codec_rejects_truncated_padded_and_unknown_payloads() {
+        for msg in every_message() {
+            let buf = msg.encode();
+            for k in 0..buf.len() {
+                assert_eq!(CtrlMsg::decode(&buf[..k]), None, "{msg:?} cut to {k} B");
+            }
+            let mut long = buf.to_vec();
+            long.extend_from_slice(&[0; 8]);
+            assert_eq!(CtrlMsg::decode(&long), None, "{msg:?} padded");
+        }
+        let word = |w: u64| w.to_le_bytes();
+        for tag in [0, 5, u64::MAX] {
+            for words in [4, 8] {
+                let mut buf = vec![0u8; words * 8];
+                buf[..8].copy_from_slice(&word(tag));
+                assert_eq!(CtrlMsg::decode(&buf), None, "tag {tag}, {words} words");
+            }
+        }
+        // Fields too wide for their type: a 33-bit FEC, a /33 prefix and
+        // an unknown VPN change kind.
+        let mut ldp = CtrlMsg::LdpWithdraw { fec: 1, from: 4 }.encode().to_vec();
+        ldp[8..16].copy_from_slice(&word(1 << 32));
+        assert_eq!(CtrlMsg::decode(&ldp), None);
+        let vpn = CtrlMsg::Vpn(VpnDelta {
+            target: 0,
+            vrf_idx: 0,
+            prefix: pfx("10.0.0.0/8"),
+            change: VpnChange::Withdraw(None),
+        });
+        let mut wide = vpn.encode().to_vec();
+        wide[24..32].copy_from_slice(&word(33));
+        assert_eq!(CtrlMsg::decode(&wide), None);
+        let mut kind = vpn.encode().to_vec();
+        kind[32..40].copy_from_slice(&word(3));
+        assert_eq!(CtrlMsg::decode(&kind), None);
+        // Arbitrary bytes of every length up to 72 never panic.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..=72 {
+            let buf: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let _ = CtrlMsg::decode(&buf);
+        }
+    }
+
+    /// The packet `prepare` builds carries the message through the wire
+    /// codec: serialized and parsed back, its payload still decodes to the
+    /// same message, at the nominal size.
+    #[test]
+    fn prepared_packet_survives_the_wire_codec() {
+        let topo = Topology::full_mesh(2, netsim_routing::LinkAttrs::default());
+        let pn = crate::BackboneBuilder::new(topo, vec![0, 1]).build();
+        let mut db = pn.control.borrow_mut();
+        for (k, msg) in every_message().into_iter().enumerate() {
+            let pkt = db.prepare(0, 0, msg.clone());
+            assert_eq!(pkt.meta.seq, k as u64 + 1, "packets are numbered from 1");
+            assert_eq!(pkt.meta.flow, CTRL_FLOW_BASE + msg.proto() as u64);
+            let bytes = netsim_net::wire::encode(&pkt).expect("encodes");
+            let back = netsim_net::wire::decode(&bytes).expect("decodes");
+            assert_eq!(back.wire_len(), pkt.wire_len());
+            assert_eq!(CtrlMsg::decode(&back.payload), Some(msg));
+        }
+        assert_eq!(db.stats.pkts_sent, every_message().len() as u64);
     }
 }

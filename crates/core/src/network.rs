@@ -37,8 +37,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::control::{
-    Applied, ControlDb, ControlHandle, ControlMode, CtrlStats, NodeTables, VpnChange, VpnDelta,
-    VpnPath,
+    Applied, ControlDb, ControlHandle, ControlMode, CtrlMsg, CtrlStats, NodeTables, VpnChange,
+    VpnDelta, VpnPath,
 };
 use crate::router::{CeRouter, CoreRouter, PeRouter, VrfRoute};
 use crate::trace::TraceLog;
@@ -321,9 +321,9 @@ impl BackboneBuilder {
         if self.control_mode == ControlMode::InBand {
             for (u, &nid) in node_ids.iter().enumerate() {
                 if pe_ordinal.contains_key(&u) {
-                    net.node_mut::<PeRouter>(nid).set_control(control.clone(), u);
+                    net.node_mut::<PeRouter>(nid).control = Some((control.clone(), u));
                 } else {
-                    net.node_mut::<CoreRouter>(nid).set_control(control.clone(), u);
+                    net.node_mut::<CoreRouter>(nid).control = Some((control.clone(), u));
                 }
             }
         }
@@ -609,16 +609,18 @@ impl ProviderNetwork {
 
     /// Delivers a VPN delta originated at PE `origin_pe`: the one place
     /// the control modes differ for VPN routes. Oracle mode — and any PE
-    /// updating its own VRF — applies it at once; in-band mode sends it as
-    /// an MP-BGP packet along the origin's current shortest path (counted
-    /// undeliverable when there is none).
+    /// updating its own VRF — applies it at once; in-band mode queues it
+    /// as an MP-BGP message toward the origin's current next hop (counted
+    /// undeliverable when there is none) and sends the outbox to the wire.
     fn deliver_vpn_delta(&mut self, origin_pe: usize, delta: VpnDelta) {
         match self.control_mode {
             ControlMode::InBand if delta.target != origin_pe => {
-                let origin = self.pes[origin_pe];
-                let prepared = self.control.borrow_mut().prepare_vpn_from(origin, delta);
-                if let Some((iface, pkt)) = prepared {
-                    self.net.inject(self.node_ids[origin], iface, pkt);
+                let mut db = self.control.borrow_mut();
+                db.stats.bgp_originated += 1;
+                db.forward_toward(self.pes[origin_pe], self.pes[delta.target], CtrlMsg::Vpn(delta));
+                while let Some((node, iface, msg)) = db.next_outgoing() {
+                    let pkt = db.prepare(node, iface, msg);
+                    self.net.inject(self.node_ids[node], IfaceId(iface), pkt);
                 }
             }
             _ => self.apply_vpn_delta(delta),
@@ -673,7 +675,7 @@ impl ProviderNetwork {
     /// node id.
     pub fn attach_sink(&mut self, site: SiteId, host_prefix: Prefix) -> NodeId {
         let info = &self.sites[site.0];
-        assert!(info.prefix.overlaps(host_prefix), "host prefix outside the site block");
+        assert!(info.prefix.covers(host_prefix), "host prefix outside the site block");
         let ce = info.ce;
         let sink = self.net.add_node(Box::new(Sink::new()));
         let cfg = LinkConfig::new(1_000_000_000, 10_000);
@@ -762,7 +764,7 @@ impl ProviderNetwork {
     /// Attaches an acking TCP sink serving `host_prefix` at `site`.
     pub fn attach_tcp_sink(&mut self, site: SiteId, host_prefix: Prefix) -> NodeId {
         let info = &self.sites[site.0];
-        assert!(info.prefix.overlaps(host_prefix), "host prefix outside the site block");
+        assert!(info.prefix.covers(host_prefix), "host prefix outside the site block");
         let ce = info.ce;
         let sink = self.net.add_node(Box::new(netsim_sim::TcpSink::new()));
         let link = LinkConfig::new(1_000_000_000, 10_000);
@@ -1629,5 +1631,25 @@ mod tests {
         let mut pn = line();
         let vpn = pn.new_vpn("acme");
         pn.add_site(vpn, 9, pfx("10.0.0.0/8"), None);
+    }
+
+    /// A host prefix covering the whole site block (or more) would turn
+    /// the CE into a sink for every 10.x destination.
+    #[test]
+    #[should_panic(expected = "host prefix outside the site block")]
+    fn attach_sink_rejects_a_covering_prefix() {
+        let mut pn = line();
+        let vpn = pn.new_vpn("acme");
+        let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
+        pn.attach_sink(a, pfx("10.0.0.0/8"));
+    }
+
+    #[test]
+    #[should_panic(expected = "host prefix outside the site block")]
+    fn attach_tcp_sink_rejects_a_covering_prefix() {
+        let mut pn = line();
+        let vpn = pn.new_vpn("acme");
+        let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
+        pn.attach_tcp_sink(a, pfx("10.0.0.0/8"));
     }
 }

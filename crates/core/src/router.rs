@@ -97,11 +97,9 @@ pub struct CoreRouter {
     pub trace: Option<TraceLog>,
     /// Optional drop-cause flight recorder (shared with the network's).
     pub recorder: Option<FlightRecorder>,
-    /// In-band control plane, if the network runs `ControlMode::InBand`.
-    control: Option<ControlHandle>,
-    /// This router's backbone topology node id (only meaningful when
-    /// `control` is set).
-    topo_id: usize,
+    /// In-band control plane, if the network runs `ControlMode::InBand`:
+    /// the shared database and this router's backbone topology node id.
+    pub(crate) control: Option<(ControlHandle, usize)>,
 }
 
 impl CoreRouter {
@@ -115,15 +113,7 @@ impl CoreRouter {
             trace: None,
             recorder: None,
             control: None,
-            topo_id: usize::MAX,
         }
-    }
-
-    /// Attaches the shared in-band control database. `topo_id` is this
-    /// router's node id in the backbone topology.
-    pub(crate) fn set_control(&mut self, db: ControlHandle, topo_id: usize) {
-        self.control = Some(db);
-        self.topo_id = topo_id;
     }
 
     /// Attaches a trace log.
@@ -166,9 +156,9 @@ impl CoreRouter {
 impl Node for CoreRouter {
     fn on_packet(&mut self, _iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
         if pkt.meta.flow >= CTRL_FLOW_BASE {
-            if let Some(db) = &self.control {
+            if let Some((db, id)) = &self.control {
                 let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None };
-                db.borrow_mut().on_control_packet(self.topo_id, _iface.0, &pkt, &mut tables, ctx);
+                db.borrow_mut().on_control_packet(*id, _iface.0, &pkt, &mut tables, ctx);
                 return;
             }
         }
@@ -220,10 +210,10 @@ impl Node for CoreRouter {
         // protection state at detection time, not at failure time.
         if let Some((iface, down)) = decode_iface_token(token) {
             self.lfib.set_iface_down(iface, down);
-            if let Some(db) = &self.control {
+            if let Some((db, id)) = &self.control {
                 let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None };
                 let mut db = db.borrow_mut();
-                db.on_link_event(self.topo_id, iface, down, &mut tables, ctx.now());
+                db.on_link_event(*id, iface, down, &mut tables, ctx.now());
                 db.flush(ctx);
             }
         }
@@ -328,11 +318,9 @@ pub struct PeRouter {
     pub trace: Option<TraceLog>,
     /// Optional drop-cause flight recorder (shared with the network's).
     pub recorder: Option<FlightRecorder>,
-    /// In-band control plane, if the network runs `ControlMode::InBand`.
-    control: Option<ControlHandle>,
-    /// This router's backbone topology node id (only meaningful when
-    /// `control` is set).
-    topo_id: usize,
+    /// In-band control plane, if the network runs `ControlMode::InBand`:
+    /// the shared database and this router's backbone topology node id.
+    pub(crate) control: Option<(ControlHandle, usize)>,
 }
 
 impl PeRouter {
@@ -351,15 +339,7 @@ impl PeRouter {
             trace: None,
             recorder: None,
             control: None,
-            topo_id: usize::MAX,
         }
-    }
-
-    /// Attaches the shared in-band control database. `topo_id` is this
-    /// router's node id in the backbone topology.
-    pub(crate) fn set_control(&mut self, db: ControlHandle, topo_id: usize) {
-        self.control = Some(db);
-        self.topo_id = topo_id;
     }
 
     /// Attaches a trace log.
@@ -623,9 +603,9 @@ impl PeRouter {
 impl Node for PeRouter {
     fn on_packet(&mut self, iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
         if pkt.meta.flow >= CTRL_FLOW_BASE {
-            if let Some(db) = &self.control {
+            if let Some((db, id)) = &self.control {
                 let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: Some(&mut self.vrfs) };
-                db.borrow_mut().on_control_packet(self.topo_id, iface.0, &pkt, &mut tables, ctx);
+                db.borrow_mut().on_control_packet(*id, iface.0, &pkt, &mut tables, ctx);
                 return;
             }
         }
@@ -644,10 +624,10 @@ impl Node for PeRouter {
         // protection state at detection time, not at failure time.
         if let Some((iface, down)) = decode_iface_token(token) {
             self.lfib.set_iface_down(iface, down);
-            if let Some(db) = &self.control {
+            if let Some((db, id)) = &self.control {
                 let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: Some(&mut self.vrfs) };
                 let mut db = db.borrow_mut();
-                db.on_link_event(self.topo_id, iface, down, &mut tables, ctx.now());
+                db.on_link_event(*id, iface, down, &mut tables, ctx.now());
                 db.flush(ctx);
             }
         }

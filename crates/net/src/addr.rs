@@ -157,6 +157,11 @@ impl Prefix {
         ip.masked(self.len) == self.addr
     }
 
+    /// Whether every address of `other` lies inside this prefix.
+    pub fn covers(self, other: Prefix) -> bool {
+        other.len >= self.len && self.contains(other.addr)
+    }
+
     /// Whether the two prefixes share any address.
     pub fn overlaps(self, other: Prefix) -> bool {
         let l = self.len.min(other.len);
@@ -269,6 +274,15 @@ mod tests {
         assert!(pfx("10.1.0.0/16").overlaps(pfx("10.0.0.0/8")));
         assert!(!pfx("10.0.0.0/8").overlaps(pfx("11.0.0.0/8")));
         assert!(Prefix::DEFAULT.overlaps(pfx("1.2.3.4/32")));
+    }
+
+    #[test]
+    fn prefix_covers_only_what_it_contains() {
+        assert!(pfx("10.0.0.0/8").covers(pfx("10.1.0.0/16")));
+        assert!(pfx("10.1.0.0/16").covers(pfx("10.1.0.0/16")));
+        assert!(!pfx("10.1.0.0/16").covers(pfx("10.0.0.0/8")));
+        assert!(!pfx("10.0.0.0/8").covers(pfx("11.0.0.0/16")));
+        assert!(Prefix::DEFAULT.covers(pfx("1.2.3.4/32")));
     }
 
     #[test]

@@ -51,6 +51,8 @@ pub mod transport;
 pub mod wire;
 
 pub use addr::{Ip, Prefix};
+/// The payload buffer types, so payload writers need no direct dependency.
+pub use bytes::{Bytes, BytesMut};
 pub use dscp::Dscp;
 pub use error::NetError;
 pub use fr::VcHeader;

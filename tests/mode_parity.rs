@@ -18,10 +18,12 @@
 //! the runtime itself no longer uses.
 
 use mplsvpn::mpls::{Fec, LabelOp, LdpConfig, LdpDomain};
+use mplsvpn::net::{Bytes, Dscp, Ip, Packet};
 use mplsvpn::routing::{Igp, LinkAttrs, RouteTarget, Topology};
-use mplsvpn::sim::MSEC;
+use mplsvpn::sim::{IfaceId, MSEC};
 use mplsvpn::vpn::{
     BackboneBuilder, ControlMode, CoreRouter, PeRouter, ProviderNetwork, VpnId, VrfDigestRow,
+    CTRL_FLOW_BASE,
 };
 
 /// One node's SPF view: (dist, next_hop, ecmp) of the tree it forwards on.
@@ -383,6 +385,54 @@ fn partition_counts_no_lsp_to_egress_instead_of_panicking() {
             assert!(row.1 >= 1);
         }
     }
+}
+
+/// A CS6 packet in the control flow namespace that no router of this
+/// network built — zero payload, garbage, a truncated message, or a
+/// well-formed one naming a link, FEC, PE or VRF the network lacks — is
+/// terminated where it lands (or forwarded toward its PE, then
+/// terminated) and changes no view, LFIB, VRF or VPN-label table. P1 and
+/// P2 receive them from PE0, PE0 and PE4 from P1.
+#[test]
+fn foreign_control_packets_are_terminated_and_ignored() {
+    let (t, pes) = fish();
+    let mut pn = BackboneBuilder::new(t, pes.clone()).control_mode(ControlMode::InBand).build();
+    let vpn = pn.new_vpn("acme");
+    pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
+    pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
+    pn.run_for(100 * MSEC);
+    let before = digest(&mut pn, &pes, &[vpn], &[]);
+    let stats = pn.control_stats().expect("in-band stats");
+    // Payload words as `CtrlMsg::encode` lays them out (DESIGN.md §9).
+    let words = |w: &[u64]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+    let pfx = 0x0A01_0000 << 8 | 16;
+    let payloads = [
+        vec![0u8; 64],
+        vec![0u8; 32],
+        vec![0xA5; 64],
+        words(&[1, 0, 1]),
+        Vec::new(),
+        words(&[1, 999, 1, 9, 0, 0, 0, 0]),
+        words(&[2, 999, 16, 0]),
+        words(&[4, 999, 0, pfx, 0, 1, 16, 0]),
+        words(&[4, 0, 999, pfx, 0, 1, 16, 0]),
+    ];
+    let (pe0, p1) = (pn.backbone_node(0), pn.backbone_node(1));
+    let senders = [(pe0, 0), (pe0, 1), (p1, 0), (p1, 1)];
+    for payload in &payloads {
+        let mut pkt = Packet::udp(Ip(0xC0DE_0000), Ip(0xC0DE_FFFF), 89, 89, Dscp::CS6, 0);
+        pkt.payload = Bytes::copy_from_slice(payload);
+        pkt.meta.flow = CTRL_FLOW_BASE;
+        for &(node, iface) in &senders {
+            pn.net.inject(node, IfaceId(iface), pkt.clone());
+        }
+    }
+    pn.run_for(100 * MSEC);
+    let after = pn.control_stats().expect("in-band stats");
+    let injected = (payloads.len() * senders.len()) as u64;
+    let forwarded = after.pkts_sent - stats.pkts_sent;
+    assert_eq!(after.pkts_terminated - stats.pkts_terminated, injected + forwarded);
+    assert_eq!(digest(&mut pn, &pes, &[vpn], &[]), before, "a foreign packet changed state");
 }
 
 /// Detaching a site evicts its route from every importer in both modes:
