@@ -17,6 +17,10 @@
 //! tables (LFIB, VRF FIBs) while a message is applied, so incremental
 //! updates land directly in the forwarding plane — no global rebuild.
 //!
+//! Bring-up takes the same path: views start with every link up and no
+//! labels, each egress binds its FEC in `ControlDb::repair_fec`, and the
+//! LDP mappings that follow are delivered as Oracle reconvergence's are.
+//!
 //! Determinism: the database never iterates a hash map. All fan-out walks
 //! index ranges (FEC ordinals, topology adjacency order) and the outbox
 //! keeps production order, so replays are bit-identical for a fixed seed
@@ -26,14 +30,13 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use netsim_mpls::ldp::{Fec, LdpNodeState};
-use netsim_mpls::lfib::{FtnEntry, LabelOp, Lfib, Nhlfe};
+use netsim_mpls::lfib::{FtnEntry, LabelOp, Lfib, Nhlfe, LOCAL_IFACE};
 use netsim_mpls::LabelSpace;
 use netsim_net::mpls::IMPLICIT_NULL;
 use netsim_net::{Bytes, BytesMut, Dscp, Ip, Packet, Prefix};
 use netsim_obs::Histogram;
 use netsim_qos::Nanos;
-use netsim_routing::igp::spf_filtered;
+use netsim_routing::igp::{spf, spf_filtered};
 use netsim_routing::{SpfTree, Topology};
 use netsim_sim::{Ctx, FxHashMap, IfaceId};
 
@@ -305,8 +308,8 @@ pub struct CtrlStats {
 }
 
 /// What one router currently believes: its link-state database, SPF tree
-/// and LDP state. Taken over from the bring-up convergence ("initial RIB
-/// download"), then maintained purely by messages.
+/// and LDP state. Starts with every link up and no labels, and is then
+/// maintained purely by messages, bring-up's LDP mappings included.
 struct NodeView {
     /// Latest applied (seq, down) per link — the LSA dedup state, and
     /// which links this node believes are down.
@@ -315,12 +318,12 @@ struct NodeView {
     spf: SpfTree,
     /// The node's platform label space (LDP and explicit LSPs share it).
     space: LabelSpace,
-    /// Local label bindings per tunnel FEC (immutable once allocated).
-    bindings: std::collections::HashMap<Fec, u32>,
-    /// Liberal-retention label store: (fec, neighbor) → advertised label.
-    received: std::collections::HashMap<(Fec, usize), u32>,
-    /// Current FEC-to-NHLFE map (ingress push state).
-    ftn: std::collections::HashMap<Fec, FtnEntry>,
+    /// Local label binding per FEC ordinal (immutable once allocated).
+    bindings: Vec<Option<u32>>,
+    /// Liberal-retention label store: (FEC, neighbor) → advertised label.
+    received: FxHashMap<(u32, usize), u32>,
+    /// Current FTN per FEC ordinal: (out interface, next hop's label).
+    ftn: Vec<Option<(usize, u32)>>,
 }
 
 /// Mutable references to one router's forwarding tables, lent to the
@@ -338,6 +341,8 @@ pub(crate) struct NodeTables<'a> {
 pub struct ControlDb {
     topo: Topology,
     pes: Vec<usize>,
+    /// Penultimate-hop popping: egresses bind their FEC to implicit null.
+    php: bool,
     views: Vec<NodeView>,
     /// Messages produced and not yet delivered, in production order:
     /// (sending node, interface it leaves on, message).
@@ -357,31 +362,25 @@ pub struct ControlDb {
 }
 
 impl ControlDb {
-    /// Builds the database from the bring-up convergence: node `u`'s SPF
-    /// tree `trees[u]` and LDP state `ldp[u]` (its LFIB already moved into
-    /// the router) become `u`'s view.
-    pub(crate) fn new(
-        topo: &Topology,
-        pes: &[usize],
-        trees: Vec<SpfTree>,
-        ldp: Vec<LdpNodeState>,
-    ) -> ControlDb {
+    /// Builds the database with one view per node: every link up, the
+    /// node's own SPF tree over them, and no LDP state yet. Label bindings
+    /// arrive as messages at bring-up (see [`ControlDb::repair_fec`]).
+    pub(crate) fn new(topo: &Topology, pes: &[usize], php: bool) -> ControlDb {
         let nl = topo.link_count();
-        let views = trees
-            .into_iter()
-            .zip(ldp)
-            .map(|(spf, st)| NodeView {
+        let views = (0..topo.node_count())
+            .map(|u| NodeView {
                 link_state: vec![(0, false); nl],
-                spf,
-                space: st.space,
-                bindings: st.bindings,
-                received: st.received,
-                ftn: st.ftn,
+                spf: spf(topo, u),
+                space: LabelSpace::new(),
+                bindings: vec![None; pes.len()],
+                received: FxHashMap::default(),
+                ftn: vec![None; pes.len()],
             })
             .collect();
         ControlDb {
             topo: topo.clone(),
             pes: pes.to_vec(),
+            php,
             views,
             outbox: VecDeque::new(),
             link_seq: vec![0; nl],
@@ -423,8 +422,8 @@ impl ControlDb {
             // LDP session loss: retained labels from the far end die with
             // the session.
             let view = &mut self.views[node];
-            for f in 0..self.pes.len() {
-                view.received.remove(&(Fec(f as u32), far));
+            for f in 0..self.pes.len() as u32 {
+                view.received.remove(&(f, far));
             }
         }
         self.stats.lsa_originated += 1;
@@ -441,8 +440,8 @@ impl ControlDb {
             // Session re-establishment: re-advertise our bindings to the
             // peer (it dropped them when the session died).
             let view = &self.views[node];
-            for f in 0..self.pes.len() {
-                let Some(&label) = view.bindings.get(&Fec(f as u32)) else { continue };
+            for (f, &binding) in view.bindings.iter().enumerate() {
+                let Some(label) = binding else { continue };
                 if !view.spf.reachable(self.pes[f]) {
                     continue;
                 }
@@ -486,12 +485,15 @@ impl ControlDb {
             CtrlMsg::Lsa { link, down, seq } => {
                 self.apply_lsa(node, link, down, seq, Some(iface), tables, now);
             }
+            // A foreign LDP message (unknown FEC or sender) is not retained.
+            CtrlMsg::LdpMapping { fec, from, .. } | CtrlMsg::LdpWithdraw { fec, from }
+                if fec as usize >= self.pes.len() || from >= self.views.len() => {}
             CtrlMsg::LdpMapping { fec, label, from } => {
-                self.views[node].received.insert((Fec(fec), from), label);
+                self.views[node].received.insert((fec, from), label);
                 self.repair_fec(node, fec as usize, tables, None);
             }
             CtrlMsg::LdpWithdraw { fec, from } => {
-                self.views[node].received.remove(&(Fec(fec), from));
+                self.views[node].received.remove(&(fec, from));
                 self.repair_fec(node, fec as usize, tables, None);
             }
             CtrlMsg::Vpn(delta) => {
@@ -503,9 +505,7 @@ impl ControlDb {
                 let Some(vrf) = tables.vrfs.as_mut().and_then(|v| v.get_mut(delta.vrf_idx)) else {
                     return;
                 };
-                let tunnel = delta
-                    .path()
-                    .and_then(|(egress, _)| self.views[node].ftn.get(&Fec(egress as u32)).cloned());
+                let tunnel = delta.path().and_then(|(egress, _)| self.view_ftn(node, egress));
                 let applied = delta.apply(vrf, tunnel);
                 self.stats.no_lsp_to_egress += u64::from(applied.no_lsp());
                 if !matches!(applied, Applied::LocalWins | Applied::NoLspKept) {
@@ -568,8 +568,12 @@ impl ControlDb {
     /// current view, re-points the LFIB transit entry and any VRF routes
     /// using that tunnel, and advertises/withdraws when the egress became
     /// reachable or unreachable since `prev`, the SPF tree this one
-    /// replaced (`None`: the tree did not change).
-    fn repair_fec(
+    /// replaced (`None`: the tree did not change). Ordered control: the
+    /// first usable binding — the egress's own, or the next hop's — makes
+    /// the node bind the FEC (implicit null at a PHP egress, otherwise a
+    /// label from its space), install the ILM entry and advertise the
+    /// binding to every live neighbor. Bring-up calls this at each egress.
+    pub(crate) fn repair_fec(
         &mut self,
         node: usize,
         f: usize,
@@ -577,53 +581,47 @@ impl ControlDb {
         prev: Option<&SpfTree>,
     ) {
         let Some(&egress) = self.pes.get(f) else { return };
-        if node == egress {
-            return;
-        }
-        let fec = Fec(f as u32);
         let view = &mut self.views[node];
         let (desired, reachable) = match view.spf.next_hop[egress] {
+            // The egress pops its own FEC's label.
+            _ if node == egress => (Some((LOCAL_IFACE, IMPLICIT_NULL)), true),
             None => (None, false),
             Some(nh) => {
                 let iface = self.topo.iface_toward(node, nh);
                 // `None`: session refresh in flight.
-                (view.received.get(&(fec, nh)).map(|&l| (iface, l)), true)
+                (view.received.get(&(f as u32, nh)).map(|&l| (iface, l)), true)
             }
         };
         if desired.is_none() && reachable {
             self.stats.ldp_missing_binding += 1;
         }
-        let new_ftn = desired.map(|(iface, l)| FtnEntry {
-            push: if l == IMPLICIT_NULL { Vec::new() } else { vec![l] },
-            out_iface: iface,
-        });
-        if view.ftn.get(&fec) != new_ftn.as_ref() {
+        let fresh = desired.is_some() && view.bindings[f].is_none();
+        if fresh {
+            let php_egress = node == egress && self.php;
+            view.bindings[f] = Some(if php_egress { IMPLICIT_NULL } else { view.space.allocate() });
+        }
+        let ftn = desired.filter(|_| node != egress);
+        if fresh || view.ftn[f] != ftn {
             // Transit repair: re-point the ILM entry for our own binding.
-            if let Some(&local) = view.bindings.get(&fec) {
-                if local != IMPLICIT_NULL {
-                    match desired {
-                        Some((iface, l)) => {
-                            let op =
-                                if l == IMPLICIT_NULL { LabelOp::Pop } else { LabelOp::Swap(l) };
-                            tables.lfib.install(local, Nhlfe { op, out_iface: iface });
-                        }
-                        None => {
-                            tables.lfib.remove(local);
-                        }
+            if let Some(local) = view.bindings[f].filter(|&l| l != IMPLICIT_NULL) {
+                match desired {
+                    Some((iface, l)) => {
+                        let op = if l == IMPLICIT_NULL { LabelOp::Pop } else { LabelOp::Swap(l) };
+                        tables.lfib.install(local, Nhlfe { op, out_iface: iface });
+                    }
+                    None => {
+                        tables.lfib.remove(local);
                     }
                 }
             }
             // Ingress repair: VRF routes tunneled toward this egress.
-            if let Some(vrfs) = tables.vrfs.as_deref_mut() {
-                repoint_vrfs(vrfs, f, new_ftn.as_ref());
+            if let (Some(vrfs), Some(ftn)) = (tables.vrfs.as_deref_mut(), ftn) {
+                repoint_vrfs(vrfs, f, &ftn_entry(ftn));
             }
-            match new_ftn {
-                Some(e) => view.ftn.insert(fec, e),
-                None => view.ftn.remove(&fec),
-            };
+            view.ftn[f] = ftn;
         }
-        if prev.is_some_and(|t| t.reachable(egress) != reachable) {
-            let label = view.bindings.get(&fec).copied();
+        if fresh || prev.is_some_and(|t| t.reachable(egress) != reachable) {
+            let label = view.bindings[f];
             for (iface, (_, _, l)) in self.topo.neighbors(node).enumerate() {
                 if view.link_state[l].1 {
                     continue;
@@ -711,9 +709,9 @@ impl ControlDb {
         &self.views[node].spf
     }
 
-    /// `node`'s current FTN entry for a tunnel FEC.
-    pub fn view_ftn(&self, node: usize, fec: u32) -> Option<&FtnEntry> {
-        self.views[node].ftn.get(&Fec(fec))
+    /// `node`'s current FTN entry for tunnel FEC ordinal `fec`.
+    pub fn view_ftn(&self, node: usize, fec: usize) -> Option<FtnEntry> {
+        self.views[node].ftn.get(fec).copied().flatten().map(ftn_entry)
     }
 
     /// Whether `node` currently believes `link` is down.
@@ -732,12 +730,17 @@ impl ControlDb {
     }
 }
 
-/// Re-points every VRF route tunneled toward `egress_pe` at the new FTN.
-/// When the LSP is gone entirely the stale tunnel is left in place — the
-/// same degrade-in-place `sync_remote_routes` exhibits — so traffic drops
-/// at the dead link instead of silently un-routing.
-fn repoint_vrfs(vrfs: &mut [VrfFib], egress_pe: usize, ftn: Option<&FtnEntry>) {
-    let Some(t) = ftn else { return };
+/// The FTN entry that forwards to a next hop advertising `label` on
+/// `out_iface`: push the label, or nothing for implicit null.
+fn ftn_entry((out_iface, label): (usize, u32)) -> FtnEntry {
+    FtnEntry { push: if label == IMPLICIT_NULL { Vec::new() } else { vec![label] }, out_iface }
+}
+
+/// Re-points every VRF route tunneled toward `egress_pe` at the new FTN
+/// `t`. When the LSP is gone entirely the caller leaves the stale tunnel
+/// in place — the same degrade-in-place `sync_remote_routes` exhibits — so
+/// traffic drops at the dead link instead of silently un-routing.
+fn repoint_vrfs(vrfs: &mut [VrfFib], egress_pe: usize, t: &FtnEntry) {
     for vrf in vrfs.iter_mut() {
         let stale: Vec<(Prefix, u32)> = vrf
             .fib

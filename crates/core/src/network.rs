@@ -3,20 +3,21 @@
 //!
 //! Construction order (all deterministic):
 //!
-//! 1. IGP convergence over the backbone ([`netsim_routing::Igp`]).
-//! 2. LDP label distribution for one tunnel FEC per PE
-//!    ([`netsim_mpls::LdpDomain`]); the resulting LFIBs are moved into the
-//!    simulated routers, and every other piece of IGP/LDP state into the
-//!    per-router views of the control database ([`crate::control`]).
-//! 3. Backbone links are materialized in topology order, so simulator
-//!    interface numbers equal topology adjacency positions.
+//! 1. Routers with empty LFIBs, and backbone links materialized in
+//!    topology order, so simulator interface numbers equal topology
+//!    adjacency positions.
+//! 2. One control-database view per router ([`crate::control`]): every
+//!    link up, the router's own SPF tree, no labels.
+//! 3. LDP bring-up as messages: each egress PE binds its tunnel FEC and
+//!    advertises it, and the label mappings are delivered hop by hop
+//!    (ordered control), installing every LFIB and FTN on the way — the
+//!    same message path and delivery as Oracle reconvergence.
 //! 4. VPNs and sites are added through [`ProviderNetwork::new_vpn`] /
 //!    [`ProviderNetwork::add_site`]; the BGP/MPLS fabric distributes the
 //!    routes and the builder installs them into PE data planes.
 
 use std::collections::{BTreeMap, HashMap};
 
-use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
 use netsim_mpls::Lfib;
 use netsim_net::{Ip, Packet, Prefix};
 use netsim_obs::{FlightRecorder, MetricsRegistry};
@@ -26,7 +27,7 @@ use netsim_qos::{
     QueueDiscipline, RedParams, RedQueue, WfqScheduler,
 };
 use netsim_routing::{
-    BgpVpnFabric, DistributionMode, Igp, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
+    BgpVpnFabric, DistributionMode, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
 };
 use netsim_sim::{
     CbrSource, IfaceId, LinkConfig, LinkId, Network, NodeId, OnOffSource, PoissonSource, Sink,
@@ -260,21 +261,8 @@ impl BackboneBuilder {
         self
     }
 
-    /// Runs the control planes and materializes the simulated network.
+    /// Materializes the simulated network and brings LDP up over it.
     pub fn build(self) -> ProviderNetwork {
-        let igp = Igp::converge(&self.topo);
-        let adjacency = self.topo.adjacency_lists();
-        let fecs: Vec<(Fec, usize)> =
-            self.pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
-        let nh = |u: usize, v: usize| igp.next_hop(u, v);
-        let mut ldp = LdpDomain::run(&adjacency, &fecs, &nh, LdpConfig { php: self.php });
-        let bringup = ControlSummary {
-            igp_lsa_messages: igp.lsa_messages(),
-            ldp_messages: ldp.messages,
-            ldp_sessions: ldp.sessions,
-            ..ControlSummary::default()
-        };
-
         let mut net = Network::new();
         // Observability is always on: one flight recorder shared by the
         // engine and every router, one registry for named series.
@@ -284,16 +272,15 @@ impl BackboneBuilder {
         let pe_ordinal: HashMap<usize, usize> =
             self.pes.iter().enumerate().map(|(k, &pe)| (pe, k)).collect();
         for u in 0..self.topo.node_count() {
-            let lfib = std::mem::take(&mut ldp.nodes[u].lfib);
             let id = if let Some(&k) = pe_ordinal.get(&u) {
-                let mut pe = PeRouter::new(format!("PE{k}"), lfib, self.topo.degree(u));
+                let mut pe = PeRouter::new(format!("PE{k}"), Lfib::new(), self.topo.degree(u));
                 if let Some(t) = &self.trace {
                     pe = pe.with_trace(t.clone());
                 }
                 pe.set_recorder(recorder.clone());
                 net.add_node(Box::new(pe))
             } else {
-                let mut p = CoreRouter::new(format!("P{u}"), lfib);
+                let mut p = CoreRouter::new(format!("P{u}"), Lfib::new());
                 if let Some(t) = &self.trace {
                     p = p.with_trace(t.clone());
                 }
@@ -303,7 +290,7 @@ impl BackboneBuilder {
             node_ids.push(id);
         }
         // Materialize backbone links in id order: interface numbers now
-        // equal adjacency-list positions, which LDP's tables assume.
+        // equal adjacency-list positions, which the views' tables assume.
         for l in 0..self.topo.link_count() {
             let (u, v, attrs) = self.topo.link(l);
             let cfg = LinkConfig::new(attrs.capacity_bps, self.link_delay_ns);
@@ -313,10 +300,7 @@ impl BackboneBuilder {
         }
 
         let fabric = BgpVpnFabric::new(self.pes.len(), self.distribution);
-        // The converged bring-up state becomes the routers' views (the one
-        // permitted download); everything after this travels as messages.
-        let db = ControlDb::new(&self.topo, &self.pes, igp.into_trees(), ldp.nodes);
-        let control = Rc::new(RefCell::new(db));
+        let control = Rc::new(RefCell::new(ControlDb::new(&self.topo, &self.pes, self.php)));
         // In-band routers put those messages on the wire themselves.
         if self.control_mode == ControlMode::InBand {
             for (u, &nid) in node_ids.iter().enumerate() {
@@ -327,7 +311,7 @@ impl BackboneBuilder {
                 }
             }
         }
-        ProviderNetwork {
+        let mut pn = ProviderNetwork {
             net,
             topo: self.topo,
             fabric,
@@ -350,10 +334,12 @@ impl BackboneBuilder {
             probes: Vec::new(),
             control,
             control_mode: self.control_mode,
-            bringup,
+            bringup: ControlSummary::default(),
             no_lsp_to_egress: 0,
             sync_route_pushes: 0,
-        }
+        };
+        pn.bring_up();
+        pn
     }
 }
 
@@ -655,9 +641,9 @@ impl ProviderNetwork {
     }
 
     /// The tunnel FTN toward PE ordinal `egress` that topology node `node`
-    /// forwards on, from the node's view.
-    fn tunnel_ftn(&self, node: usize, egress: usize) -> Option<netsim_mpls::FtnEntry> {
-        self.control.borrow().view_ftn(node, egress as u32).cloned()
+    /// forwards on, from the node's view (parity hook).
+    pub fn tunnel_ftn(&self, node: usize, egress: usize) -> Option<netsim_mpls::FtnEntry> {
+        self.control.borrow().view_ftn(node, egress)
     }
 
     /// Re-installs the fabric's imported routes into every PE data plane
@@ -1166,12 +1152,11 @@ impl ProviderNetwork {
 
     /// The control-plane reaction to failures and repairs: every link
     /// endpoint whose view lags its link detects the change now, and the
-    /// LSAs and LDP messages that follow are delivered instantly, in
-    /// production order (lost across failed links), and applied as an
-    /// in-band router applies them, repairing LFIBs and VRF tunnels in
-    /// place. Then clears all fast-reroute protection and re-installs the
-    /// fabric's routes. Returns the messages delivered. Explicit LSPs are
-    /// *not* re-signalled; re-apply pins if still desired.
+    /// LSAs and LDP messages that follow are delivered instantly,
+    /// repairing LFIBs and VRF tunnels in place. Then clears all
+    /// fast-reroute protection and re-installs the fabric's routes.
+    /// Returns the messages delivered. Explicit LSPs are *not*
+    /// re-signalled; re-apply pins if still desired.
     pub fn reconverge(&mut self) -> ControlSummary {
         let control = Rc::clone(&self.control);
         let mut db = control.borrow_mut();
@@ -1186,6 +1171,42 @@ impl ProviderNetwork {
                 }
             }
         }
+        let [igp_lsa_messages, ldp_messages, _] = self.deliver(&mut db);
+        drop(db);
+        for u in 0..self.topo.node_count() {
+            let degree = self.topo.degree(u);
+            self.with_lfib(u, |l| (0..degree).for_each(|iface| drop(l.remove_protection(iface))));
+        }
+        self.sync_remote_routes();
+        // VPN routes are unchanged by an IGP event.
+        ControlSummary { igp_lsa_messages, ldp_messages, bgp_messages: 0, ..self.control_summary() }
+    }
+
+    /// LDP bring-up as messages: each egress binds its FEC, and Oracle
+    /// delivery floods the mappings under ordered control in FIFO order,
+    /// which is `LdpDomain::run`'s. Counters restart from zero afterwards.
+    fn bring_up(&mut self) {
+        let control = Rc::clone(&self.control);
+        let mut db = control.borrow_mut();
+        for (f, egress) in self.pes.clone().into_iter().enumerate() {
+            self.with_tables(egress, |t| db.repair_fec(egress, f, t, None));
+        }
+        let [_, ldp_messages, _] = self.deliver(&mut db);
+        db.stats = CtrlStats::default();
+        let links = self.topo.link_count() as u64;
+        self.bringup = ControlSummary {
+            igp_lsa_messages: self.topo.node_count() as u64 * 2 * links,
+            ldp_messages,
+            ldp_sessions: links,
+            ..ControlSummary::default()
+        };
+    }
+
+    /// Oracle delivery: applies every queued message at the far end of its
+    /// link in production order, as an in-band router would; one leaving
+    /// on a failed link is lost. Returns the count per protocol.
+    fn deliver(&mut self, db: &mut ControlDb) -> [u64; 3] {
+        let now = self.net.now();
         let mut delivered = [0u64; 3];
         while let Some((node, iface, msg)) = db.next_outgoing() {
             let (far, _, link) = self.topo.neighbors(node).nth(iface).expect("backbone iface");
@@ -1196,15 +1217,7 @@ impl ProviderNetwork {
             let arrival = self.topo.iface_toward(far, node);
             self.with_tables(far, |t| db.apply(far, arrival, msg, t, now));
         }
-        drop(db);
-        for u in 0..self.topo.node_count() {
-            let degree = self.topo.degree(u);
-            self.with_lfib(u, |l| (0..degree).for_each(|iface| drop(l.remove_protection(iface))));
-        }
-        self.sync_remote_routes();
-        let [igp_lsa_messages, ldp_messages, _] = delivered;
-        // VPN routes are unchanged by an IGP event.
-        ControlSummary { igp_lsa_messages, ldp_messages, bgp_messages: 0, ..self.control_summary() }
+        delivered
     }
 
     /// Pins a (possibly more-specific) destination prefix at an ingress PE
@@ -1263,11 +1276,13 @@ impl ProviderNetwork {
 /// Aggregated control-plane costs of a provider network.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ControlSummary {
-    /// IGP LSAs flooded.
+    /// IGP LSAs flooded. At bring-up a model, not a count: every node's
+    /// LSA crosses every link in both directions (nodes · 2 · links).
+    /// From [`ProviderNetwork::reconverge`], the LSAs delivered.
     pub igp_lsa_messages: u64,
-    /// LDP Label Mapping messages.
+    /// LDP Label Mapping (and withdraw) messages delivered, counted.
     pub ldp_messages: u64,
-    /// LDP sessions (one per backbone adjacency).
+    /// LDP sessions (one per backbone link).
     pub ldp_sessions: u64,
     /// Labels allocated for tunnel LSPs.
     pub ldp_labels: u64,

@@ -91,11 +91,11 @@ impl ProviderNetwork {
         let db = self.control.borrow();
         for (u, lnode) in nodes.iter().enumerate() {
             for (f, &egress) in self.pes.iter().enumerate() {
-                let Some(ftn) = db.view_ftn(u, f as u32) else { continue };
+                let Some(ftn) = db.view_ftn(u, f) else { continue };
                 walks.push(StackWalk {
                     origin: u,
                     fec: format!("{} Fec({f})", lnode.name),
-                    push: ftn.push.clone(),
+                    push: ftn.push,
                     out_iface: ftn.out_iface,
                     expect_delivery: Some(egress),
                 });

@@ -9,7 +9,9 @@
 //! * [`ldp`] — an LDP emulation (downstream-unsolicited, ordered control)
 //!   that runs in synchronous rounds over a topology and counts every
 //!   Label Mapping message — the currency of the paper's scalability
-//!   argument (§2.1 vs §4).
+//!   argument (§2.1 vs §4). The MPLS VPN backbone distributes labels as
+//!   messages instead (`mplsvpn-core`'s control plane); this run is the
+//!   independent reference it is checked against, and the baselines' LDP.
 //! * [`explicit`] — RSVP-TE-style signalling of an LSP along an explicit
 //!   route, used by the traffic-engineering crate.
 //!

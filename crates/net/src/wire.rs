@@ -205,7 +205,17 @@ fn decode_layers(buf: &[u8]) -> Result<(LayerStack, usize), NetError> {
     Ok((layers, cur.pos))
 }
 
+/// Parses an IPv4 header chain. IP-in-IP nests one more header per
+/// level; the walk is a loop, so the depth is bounded by the frame length,
+/// not by the stack.
 fn decode_ipv4_chain(cur: &mut Cursor<'_>, layers: &mut LayerStack) -> Result<(), NetError> {
+    while decode_ipv4(cur, layers)? == proto::IPIP {}
+    Ok(())
+}
+
+/// Parses one IPv4 header and the transport header it carries; returns
+/// its protocol.
+fn decode_ipv4(cur: &mut Cursor<'_>, layers: &mut LayerStack) -> Result<u8, NetError> {
     let start = cur.pos;
     let hdr = cur.take(IPV4_HEADER_LEN, "ipv4 header")?;
     if hdr[0] != 0x45 {
@@ -266,11 +276,11 @@ fn decode_ipv4_chain(cur: &mut Cursor<'_>, layers: &mut LayerStack) -> Result<()
                 seq: u32::from_be_bytes([e[4], e[5], e[6], e[7]]),
             }));
         }
-        proto::IPIP => decode_ipv4_chain(cur, layers)?,
-        // CONTROL and anything else: the rest of the frame is opaque payload.
+        // IP-in-IP: the caller parses the inner header. CONTROL and
+        // anything else: the rest of the frame is opaque payload.
         _ => {}
     }
-    Ok(())
+    Ok(protocol)
 }
 
 #[cfg(test)]
@@ -328,6 +338,26 @@ mod tests {
             Dscp::AF11,
         )));
         assert_roundtrip(&p);
+    }
+
+    /// Nesting depth is bounded by the frame, not the stack: a 60 KB
+    /// frame of 3 000 nested IPv4 headers (within the u16 total length)
+    /// and a 10 000-entry MPLS stack both decode, and decoding the
+    /// re-encoded result gives the same layers.
+    #[test]
+    fn deep_ipip_chains_and_label_stacks_decode() {
+        let inner = Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, 5);
+        let tunnel = Ipv4Header::new(ip("100.0.0.1"), ip("100.0.0.2"), proto::IPIP, Dscp::BE);
+        let label = Layer::Mpls(MplsLabel::new(16, 0, 64));
+        for (outer, depth) in [(Layer::Ipv4(tunnel), 2_999), (label, 10_000)] {
+            let mut layers = vec![outer; depth];
+            layers.extend_from_slice(inner.layers());
+            let p = Packet::new(layers, inner.payload.clone());
+            let back = decode(&encode(&p).expect("encode")).expect("deep frame decodes");
+            assert_eq!(back.layers(), p.layers());
+            let again = decode(&encode(&back).expect("re-encode")).expect("decodes again");
+            assert_eq!(again.layers(), back.layers());
+        }
     }
 
     #[test]

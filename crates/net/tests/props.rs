@@ -95,7 +95,7 @@ proptest! {
     }
 
     #[test]
-    fn decode_never_panics_on_garbage(buf in proptest::collection::vec(any::<u8>(), 0..128)) {
+    fn decode_never_panics_on_garbage(buf in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let _ = decode(&buf);
     }
 

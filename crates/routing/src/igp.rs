@@ -118,11 +118,6 @@ impl Igp {
         Some(path)
     }
 
-    /// Consumes the IGP, yielding the SPF trees indexed by root.
-    pub fn into_trees(self) -> Vec<SpfTree> {
-        self.trees
-    }
-
     /// LSA messages flooded during convergence (M1 metric).
     pub fn lsa_messages(&self) -> u64 {
         self.lsa_messages

@@ -15,16 +15,20 @@
 //! checkpoint both are also checked against an independent reference, a
 //! fresh global IGP + LDP computation over the live links
 //! (`Igp::converge_filtered`, `LdpDomain::run`, `LdpDomain::walk`), which
-//! the runtime itself no longer uses.
+//! the runtime itself no longer uses. Bring-up, which runs LDP as
+//! messages, is held to the reference more tightly: on random topologies
+//! every LFIB, label values included, every PE's FTNs and the bring-up
+//! message counts must equal `LdpDomain::run`'s.
 
-use mplsvpn::mpls::{Fec, LabelOp, LdpConfig, LdpDomain};
+use mplsvpn::mpls::{Fec, LabelOp, LdpConfig, LdpDomain, Lfib};
 use mplsvpn::net::{Bytes, Dscp, Ip, Packet};
 use mplsvpn::routing::{Igp, LinkAttrs, RouteTarget, Topology};
 use mplsvpn::sim::{IfaceId, MSEC};
 use mplsvpn::vpn::{
-    BackboneBuilder, ControlMode, CoreRouter, PeRouter, ProviderNetwork, VpnId, VrfDigestRow,
-    CTRL_FLOW_BASE,
+    BackboneBuilder, ControlMode, CoreRouter, CtrlStats, PeRouter, ProviderNetwork, VpnId,
+    VrfDigestRow, CTRL_FLOW_BASE,
 };
+use proptest::prelude::*;
 
 /// One node's SPF view: (dist, next_hop, ecmp) of the tree it forwards on.
 type SpfRow = (Vec<u64>, Vec<Option<usize>>, Vec<Vec<usize>>);
@@ -52,6 +56,22 @@ fn ladder() -> (Topology, Vec<usize>) {
 /// One router's LFIB: sorted (in label, operation, out interface) rows.
 type LfibRows = Vec<(u32, LabelOp, usize)>;
 
+fn lfib_rows(lfib: &Lfib) -> LfibRows {
+    let mut rows: LfibRows = lfib.iter().map(|(l, e)| (l, e.op, e.out_iface)).collect();
+    rows.sort_unstable_by_key(|&(l, _, _)| l);
+    rows
+}
+
+/// Backbone node `u`'s live LFIB.
+fn router_lfib(pn: &ProviderNetwork, pes: &[usize], u: usize) -> LfibRows {
+    let id = pn.backbone_node(u);
+    if pes.contains(&u) {
+        lfib_rows(&pn.net.node_ref::<PeRouter>(id).lfib)
+    } else {
+        lfib_rows(&pn.net.node_ref::<CoreRouter>(id).lfib)
+    }
+}
+
 /// Everything forwarding-relevant, in deterministic order. Failed
 /// (dead) nodes are left out of the per-node rows: a dead node detects
 /// nothing in-band, and its tables forward nothing.
@@ -78,20 +98,7 @@ fn digest(pn: &mut ProviderNetwork, pes: &[usize], vpns: &[VpnId], dead: &[usize
             (u, (t.dist.clone(), t.next_hop.clone(), t.ecmp.clone()))
         })
         .collect();
-    let lfibs = live
-        .iter()
-        .map(|&u| {
-            let id = pn.backbone_node(u);
-            let lfib = if pes.contains(&u) {
-                &pn.net.node_ref::<PeRouter>(id).lfib
-            } else {
-                &pn.net.node_ref::<CoreRouter>(id).lfib
-            };
-            let mut rows: LfibRows = lfib.iter().map(|(l, e)| (l, e.op, e.out_iface)).collect();
-            rows.sort_unstable_by_key(|&(l, _, _)| l);
-            (u, rows)
-        })
-        .collect();
+    let lfibs = live.iter().map(|&u| (u, router_lfib(pn, pes, u))).collect();
     let n_pe = pn.pe_count();
     let mut lsps = Vec::new();
     for i in 0..n_pe {
@@ -387,6 +394,36 @@ fn partition_counts_no_lsp_to_egress_instead_of_panicking() {
     }
 }
 
+/// Oracle reconvergence still re-installs the fabric's routes: a join
+/// while PE0 is cut off meets no LSP at PE0 and is skipped there, and
+/// nothing but `reconverge()`'s resync installs it once the link heals.
+#[test]
+fn oracle_heal_installs_a_route_that_met_no_lsp_during_the_partition() {
+    let mut topo = Topology::new(3);
+    let attrs = LinkAttrs { cost: 1, capacity_bps: 10_000_000 };
+    topo.add_link(0, 1, attrs);
+    topo.add_link(1, 2, attrs);
+    let mut pn = BackboneBuilder::new(topo, vec![0, 2]).detection(20 * MSEC).build();
+    let vpn = pn.new_vpn("acme");
+    pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
+    pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
+    pn.run_for(100 * MSEC);
+    pn.fail_link(0);
+    pn.run_for(100 * MSEC);
+    pn.reconverge();
+    let joined: mplsvpn::net::Prefix = "10.3.0.0/16".parse().unwrap();
+    pn.add_site(vpn, 1, joined, None);
+    pn.run_for(100 * MSEC);
+    pn.repair_link(0);
+    pn.run_for(100 * MSEC);
+    pn.reconverge();
+    let row = pn.vrf_digest(0, vpn).into_iter().find(|(p, _)| *p == joined);
+    assert!(
+        matches!(&row, Some((_, Some((1, _, Some(path))))) if *path == [0, 1, 2]),
+        "PE0 holds 10.3/16 on the live tunnel after the heal: {row:?}"
+    );
+}
+
 /// A CS6 packet in the control flow namespace that no router of this
 /// network built — zero payload, garbage, a truncated message, or a
 /// well-formed one naming a link, FEC, PE or VRF the network lacks — is
@@ -520,5 +557,66 @@ fn detach_fails_the_origin_pe_over_to_the_surviving_home() {
             settled,
             "second detach is a no-op ({mode:?})"
         );
+    }
+}
+
+/// A random backbone: 2–9 nodes, links of cost 1–4 between random
+/// endpoints (parallel links kept, self-loops dropped, so some nodes may
+/// be isolated) and a non-empty random PE set.
+fn arb_backbone() -> impl Strategy<Value = (Topology, Vec<usize>)> {
+    (2usize..10)
+        .prop_flat_map(|n| {
+            let links = proptest::collection::vec((0..n, 0..n, 1u64..=4), 0..2 * n);
+            (Just(n), links, proptest::collection::vec(any::<bool>(), n))
+        })
+        .prop_map(|(n, links, pe_mask)| {
+            let mut topo = Topology::new(n);
+            for (u, v, cost) in links.into_iter().filter(|&(u, v, _)| u != v) {
+                topo.add_link(u, v, LinkAttrs { cost, capacity_bps: 10_000_000 });
+            }
+            let mut pes: Vec<usize> = (0..n).filter(|&u| pe_mask[u]).collect();
+            if pes.is_empty() {
+                pes.push(n - 1);
+            }
+            (topo, pes)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Bring-up on the message path equals the synchronous-rounds
+    /// reference exactly: every router's LFIB (label values included),
+    /// every PE's tunnel FTNs and the bring-up message, label and session
+    /// counts. An in-band build starts with zeroed control counters.
+    #[test]
+    fn bring_up_equals_the_reference_ldp_run(
+        (topo, pes) in arb_backbone(),
+        php in any::<bool>(),
+    ) {
+        let igp = Igp::converge(&topo);
+        let adjacency = topo.adjacency_lists();
+        let fecs: Vec<(Fec, usize)> =
+            pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
+        let nh = |u: usize, v: usize| igp.next_hop(u, v);
+        let ldp = LdpDomain::run(&adjacency, &fecs, &nh, LdpConfig { php });
+        let pn = BackboneBuilder::new(topo.clone(), pes.clone()).php(php).build();
+        for (u, want) in ldp.nodes.iter().enumerate() {
+            prop_assert_eq!(router_lfib(&pn, &pes, u), lfib_rows(&want.lfib), "LFIB of {}", u);
+        }
+        for &pe in &pes {
+            for (fec, _) in &fecs {
+                let want = ldp.nodes[pe].ftn.get(fec).cloned();
+                let got = pn.tunnel_ftn(pe, fec.0 as usize);
+                prop_assert_eq!(got, want, "FTN of {} to {:?}", pe, fec);
+            }
+        }
+        let s = pn.control_summary();
+        let counts = (s.ldp_messages, s.ldp_labels, s.ldp_sessions, s.igp_lsa_messages);
+        let want = (ldp.messages, ldp.total_labels(), ldp.sessions, igp.lsa_messages());
+        prop_assert_eq!(counts, want);
+        let inband =
+            BackboneBuilder::new(topo, pes).php(php).control_mode(ControlMode::InBand).build();
+        prop_assert_eq!(inband.control_stats(), Some(CtrlStats::default()));
     }
 }
