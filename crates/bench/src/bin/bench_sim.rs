@@ -13,6 +13,10 @@
 //!   churn (paired joins and detaches) on a 16-PE ring: the ~10⁵ packets
 //!   here are MP-BGP messages, so `pps` tracks the cost of the
 //!   control-message path.
+//! * `control_inband_flaps` — in-band ring links flapping on the same
+//!   16-PE ring with no sites: every packet is an LSA or an LDP message,
+//!   so `pps` tracks the link-state path (SPF update, tunnel repair, LDP
+//!   session refresh).
 //!
 //! Only the event loop is timed; topology construction and control-plane
 //! convergence are excluded. All workloads are CBR and seeded, so the
@@ -179,6 +183,47 @@ fn control_inband_joins(_packets: u64) -> Scenario {
     }
 }
 
+/// In-band link flaps on a 16-PE ring with no sites: each ring link in
+/// turn fails and comes back, and both endpoints detect it, originate the
+/// LSA and flood it around the ring; on repair they exchange databases and
+/// refresh their LDP session. Every "packet" is an LSA or an LDP message,
+/// so the reported rate prices the link-state path: decode, SPF update,
+/// tunnel repair, re-flood.
+fn control_inband_flaps(_packets: u64) -> Scenario {
+    let n = 16;
+    let topo = netsim_routing::Topology::ring(
+        n,
+        netsim_routing::LinkAttrs { cost: 1, capacity_bps: 1_000_000_000 },
+    );
+    let mut pn = BackboneBuilder::new(topo, (0..n).collect())
+        .control_mode(mplsvpn_core::ControlMode::InBand)
+        .detection(5_000_000)
+        .build();
+    // Pinned independent of `packets`, as in `control_inband_joins`.
+    let flaps = 1600;
+    let start = Instant::now();
+    for i in 0..flaps {
+        let link = i % n;
+        pn.fail_link(link);
+        pn.run_for(10_000_000); // 10 ms: detection plus the ring's flood
+        pn.repair_link(link);
+        pn.run_for(10_000_000);
+    }
+    pn.run_to_quiescence();
+    let wall_ns = start.elapsed().as_nanos();
+    let stats = pn.control_stats().expect("in-band network exposes control stats");
+    assert!(stats.spf_runs > 0, "control flaps: no SPF update");
+    assert_eq!(stats.pkts_by_proto[2], 0, "control flaps: no MP-BGP without sites");
+    assert_eq!(stats.pkts_sent, stats.pkts_terminated, "all control messages must land");
+    Scenario {
+        name: "control_inband_flaps",
+        offered: stats.pkts_sent,
+        delivered: stats.pkts_terminated,
+        events: pn.net.events_processed(),
+        wall_ns,
+    }
+}
+
 fn render_json(scenarios: &[Scenario], packets: u64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -284,6 +329,7 @@ fn main() -> ExitCode {
         }),
         best_of(repeat, || congested_mix(packets)),
         best_of(repeat, || control_inband_joins(packets)),
+        best_of(repeat, || control_inband_flaps(packets)),
     ];
     for s in &scenarios {
         println!(

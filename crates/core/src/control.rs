@@ -36,8 +36,8 @@ use netsim_net::mpls::IMPLICIT_NULL;
 use netsim_net::{Bytes, BytesMut, Dscp, Ip, Packet, Prefix};
 use netsim_obs::Histogram;
 use netsim_qos::Nanos;
-use netsim_routing::igp::{spf, spf_filtered};
-use netsim_routing::{SpfTree, Topology};
+use netsim_routing::igp::spf;
+use netsim_routing::{SpfScratch, SpfTree, Topology};
 use netsim_sim::{Ctx, FxHashMap, IfaceId};
 
 use crate::router::{VrfFib, VrfRoute};
@@ -292,9 +292,11 @@ pub struct CtrlStats {
     /// Messages dropped at origination/forwarding for lack of any route
     /// toward the destination.
     pub undeliverable: u64,
-    /// Full SPF recomputations triggered by LSA application.
+    /// LSA applications that updated the SPF tree: the
+    /// `SpfTree::affected_by` gate admitted the event and the incremental
+    /// `SpfTree::update` ran.
     pub spf_runs: u64,
-    /// LSA applications that incremental SPF proved irrelevant (skipped).
+    /// LSA applications the gate proved cannot change the tree (no update).
     pub spf_skips: u64,
     /// FTN repairs deferred because no binding from the new next hop was
     /// retained yet (session refresh in flight).
@@ -344,15 +346,21 @@ pub struct ControlDb {
     /// Penultimate-hop popping: egresses bind their FEC to implicit null.
     php: bool,
     views: Vec<NodeView>,
+    /// Incremental-SPF buffers shared by every view, and the report of
+    /// the last update.
+    spf_scratch: SpfScratch,
     /// Messages produced and not yet delivered, in production order:
     /// (sending node, interface it leaves on, message).
     outbox: VecDeque<(usize, usize, CtrlMsg)>,
     /// Per-link event sequence, bumped once per fail/repair at the
     /// provider-network level so both endpoints originate the same LSA.
     link_seq: Vec<u64>,
-    /// (link, seq) → origination timestamp (event + detection delay);
-    /// every LSA application records `now - t0` as a convergence sample.
-    episodes: FxHashMap<(usize, u64), Nanos>,
+    /// Open convergence episodes per link, oldest first: (seq,
+    /// origination timestamp = event + detection delay). Every LSA
+    /// application of a listed (link, seq) records `now - t0` as a
+    /// convergence sample. An episode closes once every view holds a newer
+    /// sequence for the link: no view can apply its LSA any more.
+    episodes: Vec<Vec<(u64, Nanos)>>,
     /// Control bytes offered per topology link (both directions).
     ctrl_bytes_by_link: Vec<u64>,
     /// Propagation + processing latency of LSA application, ns.
@@ -382,9 +390,10 @@ impl ControlDb {
             pes: pes.to_vec(),
             php,
             views,
+            spf_scratch: SpfScratch::default(),
             outbox: VecDeque::new(),
             link_seq: vec![0; nl],
-            episodes: FxHashMap::default(),
+            episodes: vec![Vec::new(); nl],
             ctrl_bytes_by_link: vec![0; nl],
             convergence: Histogram::new(),
             max_convergence_ns: 0,
@@ -398,7 +407,10 @@ impl ControlDb {
     /// processing, not detection).
     pub(crate) fn note_link_event(&mut self, link: usize, origination_at: Nanos) {
         self.link_seq[link] += 1;
-        self.episodes.insert((link, self.link_seq[link]), origination_at);
+        let oldest = self.views.iter().map(|v| v.link_state[link].0).min().unwrap_or(0);
+        let open = &mut self.episodes[link];
+        open.retain(|&(seq, _)| seq >= oldest);
+        open.push((self.link_seq[link], origination_at));
     }
 
     /// `node` detected that the link on `iface` went down or up (its
@@ -418,10 +430,13 @@ impl ControlDb {
             return;
         };
         let seq = self.link_seq[link];
-        if down {
-            // LDP session loss: retained labels from the far end die with
-            // the session.
-            let view = &mut self.views[node];
+        // The LDP session to `far` lives while any adjacency to it does.
+        let view = &mut self.views[node];
+        let state = &view.link_state;
+        let session_up =
+            self.topo.neighbors(node).any(|(p, _, l)| p == far && l != link && !state[l].1);
+        if down && !session_up {
+            // Session loss: retained labels from the far end die with it.
             for f in 0..self.pes.len() as u32 {
                 view.received.remove(&(f, far));
             }
@@ -437,6 +452,8 @@ impl ControlDb {
                     self.outbox.push_back((node, iface, CtrlMsg::Lsa { link: l, down: d, seq: s }));
                 }
             }
+        }
+        if !down && !session_up {
             // Session re-establishment: re-advertise our bindings to the
             // peer (it dropped them when the session died).
             let view = &self.views[node];
@@ -490,11 +507,11 @@ impl ControlDb {
                 if fec as usize >= self.pes.len() || from >= self.views.len() => {}
             CtrlMsg::LdpMapping { fec, label, from } => {
                 self.views[node].received.insert((fec, from), label);
-                self.repair_fec(node, fec as usize, tables, None);
+                self.repair_fec(node, fec as usize, tables, false);
             }
             CtrlMsg::LdpWithdraw { fec, from } => {
                 self.views[node].received.remove(&(fec, from));
-                self.repair_fec(node, fec as usize, tables, None);
+                self.repair_fec(node, fec as usize, tables, false);
             }
             CtrlMsg::Vpn(delta) => {
                 let Some(&target) = self.pes.get(delta.target) else { return };
@@ -535,22 +552,37 @@ impl ControlDb {
             return;
         }
         view.link_state[link] = (seq, down);
-        // Incremental SPF: recompute only if the changed link can alter
-        // this root's tree; otherwise the LSA is topological noise here.
-        let prev = if view.spf.affected_by(&self.topo, link, down) {
+        // Incremental SPF, behind the admission gate: a link that cannot
+        // alter this root's tree is topological noise here.
+        let updated = view.spf.affected_by(&self.topo, link, down);
+        if updated {
             let state = &view.link_state;
             self.stats.spf_runs += 1;
-            Some(std::mem::replace(&mut view.spf, spf_filtered(&self.topo, node, &|l| !state[l].1)))
+            view.spf.update(&self.topo, link, &|l| !state[l].1, &mut self.spf_scratch);
         } else {
             self.stats.spf_skips += 1;
+        }
+        // Repair, from retained LDP state (liberal retention keeps this
+        // local), the tunnel FECs whose egress changed next hop or
+        // reachability, and at an endpoint those routed via the far end,
+        // whose LDP session or interface may have changed.
+        let (a, b, _) = self.topo.link(link);
+        let far = if node == a {
+            Some(b)
+        } else if node == b {
+            Some(a)
+        } else {
             None
         };
-        // Repair every tunnel FEC from retained LDP state (liberal
-        // retention is what makes this purely local in the common case).
         for f in 0..self.pes.len() {
-            self.repair_fec(node, f, tables, prev.as_ref());
+            let egress = self.pes[f];
+            let moved = updated && self.spf_scratch.next_hop_changed(egress);
+            if moved || (far.is_some() && self.views[node].spf.next_hop[egress] == far) {
+                let flipped = updated && self.spf_scratch.reachability_changed(egress);
+                self.repair_fec(node, f, tables, flipped);
+            }
         }
-        if let Some(&t0) = self.episodes.get(&(link, seq)) {
+        if let Some(&(_, t0)) = self.episodes[link].iter().find(|&&(s, _)| s == seq) {
             let d = now.saturating_sub(t0);
             self.convergence.record(d);
             self.max_convergence_ns = self.max_convergence_ns.max(d);
@@ -567,8 +599,9 @@ impl ControlDb {
     /// Recomputes the desired FTN for tunnel FEC `f` at `node` from the
     /// current view, re-points the LFIB transit entry and any VRF routes
     /// using that tunnel, and advertises/withdraws when the egress became
-    /// reachable or unreachable since `prev`, the SPF tree this one
-    /// replaced (`None`: the tree did not change). Ordered control: the
+    /// reachable or unreachable (`reach_flipped`, from the SPF update
+    /// that led here). The FTN leaves on the first interface toward the
+    /// next hop that the view believes is up. Ordered control: the
     /// first usable binding — the egress's own, or the next hop's — makes
     /// the node bind the FEC (implicit null at a PHP egress, otherwise a
     /// label from its space), install the ILM entry and advertise the
@@ -578,7 +611,7 @@ impl ControlDb {
         node: usize,
         f: usize,
         tables: &mut NodeTables<'_>,
-        prev: Option<&SpfTree>,
+        reach_flipped: bool,
     ) {
         let Some(&egress) = self.pes.get(f) else { return };
         let view = &mut self.views[node];
@@ -587,9 +620,11 @@ impl ControlDb {
             _ if node == egress => (Some((LOCAL_IFACE, IMPLICIT_NULL)), true),
             None => (None, false),
             Some(nh) => {
-                let iface = self.topo.iface_toward(node, nh);
+                let state = &view.link_state;
+                let iface = self.topo.live_iface_toward(node, nh, |l| !state[l].1);
                 // `None`: session refresh in flight.
-                (view.received.get(&(f as u32, nh)).map(|&l| (iface, l)), true)
+                let label = view.received.get(&(f as u32, nh));
+                (iface.zip(label.copied()), true)
             }
         };
         if desired.is_none() && reachable {
@@ -620,7 +655,7 @@ impl ControlDb {
             }
             view.ftn[f] = ftn;
         }
-        if fresh || prev.is_some_and(|t| t.reachable(egress) != reachable) {
+        if fresh || reach_flipped {
             let label = view.bindings[f];
             for (iface, (_, _, l)) in self.topo.neighbors(node).enumerate() {
                 if view.link_state[l].1 {
@@ -638,14 +673,16 @@ impl ControlDb {
     }
 
     /// Forwards a PE-addressed message one hop along the current view's
-    /// shortest path toward the target node.
+    /// shortest path toward the target node, on the first interface
+    /// toward the next hop that the view believes is up.
     pub(crate) fn forward_toward(&mut self, node: usize, target_node: usize, msg: CtrlMsg) {
-        let Some(nh) = self.views[node].spf.next_hop[target_node] else {
-            self.stats.undeliverable += 1;
-            return;
-        };
-        let iface = self.topo.iface_toward(node, nh);
-        self.outbox.push_back((node, iface, msg));
+        let view = &self.views[node];
+        let iface = view.spf.next_hop[target_node]
+            .and_then(|nh| self.topo.live_iface_toward(node, nh, |l| !view.link_state[l].1));
+        match iface {
+            Some(iface) => self.outbox.push_back((node, iface, msg)),
+            None => self.stats.undeliverable += 1,
+        }
     }
 
     /// In-band delivery from a router: puts every produced message on the

@@ -92,7 +92,7 @@ impl ProviderNetwork {
                 continue;
             };
             let ftn = self.install_explicit_lsp(&path);
-            let iface = self.topo.iface_toward(near, far);
+            let iface = self.topo.link_iface(near, topo_link);
             self.with_lfib(near, |lfib| lfib.install_protection(iface, ftn));
             installed += 1;
         }
@@ -113,10 +113,8 @@ impl ProviderNetwork {
         let backups: Vec<_> = te.backups(id).to_vec();
         for b in &backups {
             let ftn = self.install_explicit_lsp(&b.path);
-            let (u, v, _) = self.topo.link(b.protected_link);
             let near = b.path[0];
-            let far = if near == u { v } else { u };
-            let iface = self.topo.iface_toward(near, far);
+            let iface = self.topo.link_iface(near, b.protected_link);
             self.with_lfib(near, |lfib| lfib.install_protection(iface, ftn));
         }
         backups.len()
@@ -129,8 +127,8 @@ impl ProviderNetwork {
         let mut n = 0;
         for link in self.failed_links() {
             let (u, v, _) = self.topo.link(link);
-            for (near, far) in [(u, v), (v, u)] {
-                let iface = self.topo.iface_toward(near, far);
+            for near in [u, v] {
+                let iface = self.topo.link_iface(near, link);
                 let mut active = false;
                 self.with_lfib(near, |l| {
                     active = l.iface_down(iface) && l.protection(iface).is_some();
@@ -158,8 +156,8 @@ impl ProviderNetwork {
     fn protected_directions(&mut self, topo_link: usize) -> u64 {
         let (u, v, _) = self.topo.link(topo_link);
         let mut n = 0;
-        for (near, far) in [(u, v), (v, u)] {
-            let iface = self.topo.iface_toward(near, far);
+        for near in [u, v] {
+            let iface = self.topo.link_iface(near, topo_link);
             let mut has = false;
             self.with_lfib(near, |l| has = l.protection(iface).is_some());
             n += u64::from(has);
@@ -360,5 +358,25 @@ mod tests {
         assert!(out.control_messages > 0, "reconvergence costs messages");
         // After the repair-side reconvergence the link is usable again.
         assert!(global.net.link_enabled(LinkId(1)));
+    }
+
+    /// A bypass lands on the protected link's own interface: with two
+    /// parallel links 0=1, protecting and cutting the second one puts
+    /// both of its directions into switchover, as for the first.
+    #[test]
+    fn protection_of_a_parallel_link_sits_on_its_own_interface() {
+        let attrs = LinkAttrs { cost: 1, capacity_bps: 10_000_000 };
+        for link in [0, 1] {
+            let mut t = Topology::new(4);
+            for (u, v) in [(0, 1), (0, 1), (1, 2), (0, 3), (3, 1)] {
+                t.add_link(u, v, attrs);
+            }
+            let mut pn = BackboneBuilder::new(t, vec![0, 2]).detection(10 * MSEC).build();
+            let srlg = SrlgMap::new(pn.topo.link_count());
+            assert_eq!(pn.protect_link(link, &srlg), 2);
+            pn.fail_link(link);
+            pn.run_for(100 * MSEC);
+            assert_eq!(pn.active_switchovers(), 2, "cut link {link}");
+        }
     }
 }

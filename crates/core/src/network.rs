@@ -1120,7 +1120,7 @@ impl ProviderNetwork {
             }
             self.net.set_link_enabled(LinkId(l), false);
             self.note_control_event(l);
-            let iface = self.topo.iface_toward(far, topo_node);
+            let iface = self.topo.link_iface(far, l);
             self.net.arm_timer(
                 self.node_ids[far],
                 self.detect_ns,
@@ -1140,8 +1140,8 @@ impl ProviderNetwork {
     /// link, `detect_ns` from now.
     fn arm_detection(&mut self, topo_link: usize, down: bool) {
         let (u, v, _) = self.topo.link(topo_link);
-        for (near, far) in [(u, v), (v, u)] {
-            let iface = self.topo.iface_toward(near, far);
+        for near in [u, v] {
+            let iface = self.topo.link_iface(near, topo_link);
             self.net.arm_timer(
                 self.node_ids[near],
                 self.detect_ns,
@@ -1164,9 +1164,9 @@ impl ProviderNetwork {
         for link in 0..self.topo.link_count() {
             let down = self.failed_links.contains(&link);
             let (u, v, _) = self.topo.link(link);
-            for (near, far) in [(u, v), (v, u)] {
+            for near in [u, v] {
                 if db.believes_down(near, link) != down {
-                    let iface = self.topo.iface_toward(near, far);
+                    let iface = self.topo.link_iface(near, link);
                     self.with_tables(near, |t| db.on_link_event(near, iface, down, t, now));
                 }
             }
@@ -1189,7 +1189,7 @@ impl ProviderNetwork {
         let control = Rc::clone(&self.control);
         let mut db = control.borrow_mut();
         for (f, egress) in self.pes.clone().into_iter().enumerate() {
-            self.with_tables(egress, |t| db.repair_fec(egress, f, t, None));
+            self.with_tables(egress, |t| db.repair_fec(egress, f, t, false));
         }
         let [_, ldp_messages, _] = self.deliver(&mut db);
         db.stats = CtrlStats::default();
@@ -1214,7 +1214,7 @@ impl ProviderNetwork {
                 continue;
             }
             delivered[msg.proto()] += 1;
-            let arrival = self.topo.iface_toward(far, node);
+            let arrival = self.topo.link_iface(far, link);
             self.with_tables(far, |t| db.apply(far, arrival, msg, t, now));
         }
         delivered

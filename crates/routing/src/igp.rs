@@ -40,7 +40,7 @@ impl SpfTree {
     /// endpoint already has (`dist[a] + cost <= dist[b]` or vice versa;
     /// equality included so equal-cost sets regain their ECMP members).
     /// When the test returns false the tree is provably unaffected and
-    /// the full Dijkstra rerun can be skipped.
+    /// [`SpfTree::update`] can be skipped.
     pub fn affected_by(&self, topo: &Topology, link: usize, down: bool) -> bool {
         let (a, b, attrs) = topo.link(link);
         let (da, db) = (self.dist[a], self.dist[b]);
@@ -50,6 +50,261 @@ impl SpfTree {
         } else {
             (da != u64::MAX && da.saturating_add(attrs.cost) <= db)
                 || (db != u64::MAX && db.saturating_add(attrs.cost) <= da)
+        }
+    }
+
+    /// Incremental SPF (Ramalingam–Reps, the basis of OSPF iSPF): brings
+    /// the tree up to date in place after `link` changed state. `usable`
+    /// describes every link now; the tree must be exact for the other
+    /// links' states (an update for a link the tree already reflects
+    /// changes nothing). The result equals [`spf_filtered`] over `usable`.
+    ///
+    /// A link-down re-attaches only the nodes whose every shortest path
+    /// crossed the link; a link-up relaxes outward from the endpoint that
+    /// improved. `ecmp` and `next_hop` are then recomputed only in the
+    /// cone of nodes whose distance or equal-cost predecessors changed.
+    /// `scratch` holds every buffer, so a warm update allocates nothing,
+    /// and afterwards reports the nodes whose next hop or reachability
+    /// changed. Topologies with zero-cost links fall back to a full run.
+    pub fn update(
+        &mut self,
+        topo: &Topology,
+        link: usize,
+        usable: &dyn Fn(usize) -> bool,
+        scratch: &mut SpfScratch,
+    ) {
+        scratch.reset(topo.node_count());
+        if (0..topo.link_count()).any(|l| topo.link(l).2.cost == 0) {
+            // Equal-distance predecessors break the dist-ordered cone.
+            let fresh = spf_filtered(topo, self.root, usable);
+            for v in 0..fresh.dist.len() {
+                scratch.report(v, self.next_hop[v], fresh.next_hop[v]);
+            }
+            *self = fresh;
+            return;
+        }
+        let (a, b, attrs) = topo.link(link);
+        if usable(link) {
+            for (x, y) in [(a, b), (b, a)] {
+                let d = self.dist[x].saturating_add(attrs.cost);
+                if self.dist[x] != u64::MAX && d < self.dist[y] {
+                    self.dist[y] = d;
+                    scratch.mark(y, MOVED);
+                    scratch.heap.push(Reverse((d, y)));
+                }
+            }
+        } else {
+            self.detach_below(topo, link, usable, scratch);
+        }
+        // Dijkstra from the improved or re-attached nodes only.
+        while let Some(Reverse((d, u))) = scratch.heap.pop() {
+            if d > self.dist[u] {
+                continue;
+            }
+            for (v, attrs, l) in topo.neighbors(u) {
+                let nd = d.saturating_add(attrs.cost);
+                if usable(l) && nd < self.dist[v] {
+                    self.dist[v] = nd;
+                    scratch.mark(v, MOVED);
+                    scratch.heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        self.recompute_cone(topo, a, b, usable, scratch);
+    }
+
+    /// Link-down, first half: finds the nodes whose every shortest path
+    /// crossed `link` (already unusable), in distance order, and queues
+    /// each at its best distance through the rest of the tree.
+    fn detach_below(
+        &mut self,
+        topo: &Topology,
+        link: usize,
+        usable: &dyn Fn(usize) -> bool,
+        scratch: &mut SpfScratch,
+    ) {
+        let (a, b, attrs) = topo.link(link);
+        let tight = |x: usize, y: usize| {
+            self.dist[x] != u64::MAX && self.dist[x].saturating_add(attrs.cost) == self.dist[y]
+        };
+        let below = if tight(a, b) {
+            b
+        } else if tight(b, a) {
+            a
+        } else {
+            return;
+        };
+        scratch.queue(below, QUEUED, self.dist[below]);
+        // Every tight predecessor has a smaller distance, so it is settled
+        // (cut or not) before the node it supports is examined.
+        while let Some(Reverse((d, u))) = scratch.heap.pop() {
+            let supported = topo.neighbors(u).any(|(x, attrs, l)| {
+                usable(l)
+                    && !scratch.has(x, CUT)
+                    && self.dist[x] != u64::MAX
+                    && self.dist[x].saturating_add(attrs.cost) == d
+            });
+            if supported {
+                continue;
+            }
+            scratch.mark(u, CUT | MOVED);
+            for (v, attrs, l) in topo.neighbors(u) {
+                if usable(l) && d.saturating_add(attrs.cost) == self.dist[v] {
+                    scratch.queue(v, QUEUED, self.dist[v]);
+                }
+            }
+        }
+        // Seed each cut node with its best distance from the uncut rest.
+        for i in 0..scratch.touched.len() {
+            let u = scratch.touched[i];
+            if !scratch.has(u, CUT) {
+                continue;
+            }
+            let best = topo
+                .neighbors(u)
+                .filter(|&(x, _, l)| usable(l) && !scratch.has(x, CUT) && self.dist[x] != u64::MAX)
+                .map(|(x, attrs, _)| self.dist[x].saturating_add(attrs.cost))
+                .min()
+                .unwrap_or(u64::MAX);
+            self.dist[u] = best;
+            if best != u64::MAX {
+                scratch.heap.push(Reverse((best, u)));
+            }
+        }
+    }
+
+    /// Recomputes `ecmp`/`next_hop` in distance order, starting from the
+    /// changed link's endpoints, every node whose distance moved and their
+    /// neighbors; a node whose set changed passes the change on to its
+    /// tight successors.
+    fn recompute_cone(
+        &mut self,
+        topo: &Topology,
+        a: usize,
+        b: usize,
+        usable: &dyn Fn(usize) -> bool,
+        scratch: &mut SpfScratch,
+    ) {
+        scratch.queue(a, CONE, self.dist[a]);
+        scratch.queue(b, CONE, self.dist[b]);
+        for i in 0..scratch.touched.len() {
+            let u = scratch.touched[i];
+            if scratch.has(u, MOVED) {
+                scratch.queue(u, CONE, self.dist[u]);
+                for (v, _, l) in topo.neighbors(u) {
+                    if usable(l) {
+                        scratch.queue(v, CONE, self.dist[v]);
+                    }
+                }
+            }
+        }
+        while let Some(Reverse((d, u))) = scratch.heap.pop() {
+            if u == self.root {
+                continue;
+            }
+            scratch.hops.clear();
+            if d != u64::MAX {
+                for (x, attrs, l) in topo.neighbors(u) {
+                    if usable(l)
+                        && self.dist[x] != u64::MAX
+                        && self.dist[x].saturating_add(attrs.cost) == d
+                    {
+                        if x == self.root {
+                            scratch.hops.push(u);
+                        } else {
+                            scratch.hops.extend_from_slice(&self.ecmp[x]);
+                        }
+                    }
+                }
+                scratch.hops.sort_unstable();
+                scratch.hops.dedup();
+            }
+            if scratch.hops == self.ecmp[u] {
+                continue;
+            }
+            self.ecmp[u].clear();
+            self.ecmp[u].extend_from_slice(&scratch.hops);
+            let next_hop = scratch.hops.first().copied();
+            scratch.report(u, self.next_hop[u], next_hop);
+            self.next_hop[u] = next_hop;
+            for (v, attrs, l) in topo.neighbors(u) {
+                if usable(l) && d != u64::MAX && d.saturating_add(attrs.cost) == self.dist[v] {
+                    scratch.queue(v, CONE, self.dist[v]);
+                }
+            }
+        }
+    }
+}
+
+// Per-node flags of one `SpfTree::update`.
+const QUEUED: u8 = 1; // link-down: examined for a surviving shortest path
+const CUT: u8 = 1 << 1; // link-down: every shortest path crossed the link
+const MOVED: u8 = 1 << 2; // distance changed
+const CONE: u8 = 1 << 3; // queued for the ECMP recomputation
+const NEXT_HOP: u8 = 1 << 4; // report: next hop changed
+const REACH: u8 = 1 << 5; // report: reachability flipped
+
+/// The working memory of [`SpfTree::update`], reused across updates (one
+/// scratch serves any number of trees over one topology), and its report
+/// of the last update: which nodes' next hop or reachability changed.
+#[derive(Clone, Debug, Default)]
+pub struct SpfScratch {
+    /// (distance, node) min-heap, shared by every phase.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Per-node flags of the last update.
+    flags: Vec<u8>,
+    /// The nodes with a flag set, in the order they got their first one.
+    touched: Vec<usize>,
+    /// The ECMP set under construction.
+    hops: Vec<usize>,
+}
+
+impl SpfScratch {
+    /// Whether the last update changed `node`'s next hop (reachability
+    /// flips included).
+    pub fn next_hop_changed(&self, node: usize) -> bool {
+        self.has(node, NEXT_HOP)
+    }
+
+    /// Whether the last update made `node` reachable or unreachable.
+    pub fn reachability_changed(&self, node: usize) -> bool {
+        self.has(node, REACH)
+    }
+
+    /// Clears the last update's flags and sizes them for `n` nodes.
+    fn reset(&mut self, n: usize) {
+        for &u in &self.touched {
+            self.flags[u] = 0;
+        }
+        self.touched.clear();
+        self.heap.clear();
+        self.flags.resize(n, 0);
+    }
+
+    fn has(&self, node: usize, flag: u8) -> bool {
+        self.flags.get(node).is_some_and(|f| f & flag != 0)
+    }
+
+    fn mark(&mut self, node: usize, flag: u8) {
+        if self.flags[node] == 0 {
+            self.touched.push(node);
+        }
+        self.flags[node] |= flag;
+    }
+
+    /// Pushes `node` at distance `dist` unless `flag` shows it was already.
+    fn queue(&mut self, node: usize, flag: u8, dist: u64) {
+        if !self.has(node, flag) {
+            self.mark(node, flag);
+            self.heap.push(Reverse((dist, node)));
+        }
+    }
+
+    /// Records a next-hop change of `node` from `old` to `new`.
+    fn report(&mut self, node: usize, old: Option<usize>, new: Option<usize>) {
+        if old != new {
+            let flip = if old.is_some() == new.is_some() { 0 } else { REACH };
+            self.mark(node, NEXT_HOP | flip);
         }
     }
 }
@@ -290,6 +545,135 @@ mod tests {
         assert!(!tree.affected_by(&t, 1, true));
         // …but repairing it (reaching node 2 at all) must.
         assert!(tree.affected_by(&t, 1, false));
+    }
+
+    /// A live-link set plus the trees `update` maintains from every root.
+    struct Live {
+        down: Vec<bool>,
+        trees: Vec<SpfTree>,
+        scratch: SpfScratch,
+    }
+
+    impl Live {
+        fn new(t: &Topology) -> Live {
+            let trees = (0..t.node_count()).map(|r| spf(t, r)).collect();
+            Live { down: vec![false; t.link_count()], trees, scratch: SpfScratch::default() }
+        }
+
+        /// Sets `link`'s state and updates every tree, checking each one
+        /// and its report against the reference. Returns, per root, the
+        /// nodes reported as (next hop changed, reachability changed).
+        fn set(&mut self, t: &Topology, link: usize, down: bool) -> Vec<Vec<(usize, bool)>> {
+            self.down[link] = down;
+            let usable = |l: usize| !self.down[l];
+            let mut reports = Vec::new();
+            for tree in &mut self.trees {
+                let old = tree.clone();
+                tree.update(t, link, &usable, &mut self.scratch);
+                let want = spf_filtered(t, tree.root, &usable);
+                let root = tree.root;
+                assert_eq!(tree.dist, want.dist, "dist from {root} after link {link}");
+                assert_eq!(tree.next_hop, want.next_hop, "next hops from {root}");
+                assert_eq!(tree.ecmp, want.ecmp, "ECMP sets from {root}");
+                let mut report = Vec::new();
+                for v in 0..t.node_count() {
+                    let moved = old.next_hop[v] != want.next_hop[v];
+                    let flipped = old.reachable(v) != want.reachable(v);
+                    assert_eq!(self.scratch.next_hop_changed(v), moved, "{root}→{v} next hop");
+                    assert_eq!(self.scratch.reachability_changed(v), flipped, "{root}→{v} reach");
+                    if moved {
+                        report.push((v, flipped));
+                    }
+                }
+                reports.push(report);
+            }
+            reports
+        }
+    }
+
+    #[test]
+    fn update_cuts_one_branch_of_an_even_ring_ecmp_pair() {
+        // Ring 0-1-2-3-0: node 2 is two hops from 0 both ways.
+        let t = Topology::ring(4, attrs(1));
+        let mut live = Live::new(&t);
+        assert_eq!(live.trees[0].ecmp[2], vec![1, 3]);
+        // Cut link 1 (1-2): same distance, one ECMP member fewer, and the
+        // single next hop moves from 1 to 3.
+        let reports = live.set(&t, 1, true);
+        assert_eq!(live.trees[0].dist[2], 2);
+        assert_eq!(live.trees[0].ecmp[2], vec![3]);
+        assert_eq!(reports[0], vec![(2, false)]);
+    }
+
+    #[test]
+    fn update_link_up_adds_an_equal_cost_member() {
+        let t = Topology::ring(4, attrs(1));
+        let mut live = Live::new(&t);
+        live.set(&t, 2, true); // 2-3: node 2 is reached via 1 only
+        assert_eq!(live.trees[0].ecmp[2], vec![1]);
+        let reports = live.set(&t, 2, false);
+        assert_eq!(live.trees[0].ecmp[2], vec![1, 3]);
+        assert_eq!(reports[0], vec![], "next hop 1 stays the smallest member");
+    }
+
+    #[test]
+    fn update_partition_and_heal_flip_reachability() {
+        // Line 0-1-2-3: cutting 1-2 splits it in two.
+        let mut t = Topology::new(4);
+        for i in 0..3 {
+            t.add_link(i, i + 1, attrs(1));
+        }
+        let mut live = Live::new(&t);
+        let reports = live.set(&t, 1, true);
+        assert!(!live.trees[0].reachable(3));
+        assert_eq!(reports[0], vec![(2, true), (3, true)]);
+        let reports = live.set(&t, 1, false);
+        assert_eq!(live.trees[0].dist[3], 3);
+        assert_eq!(reports[0], vec![(2, true), (3, true)]);
+    }
+
+    #[test]
+    fn update_parallel_links_of_unequal_cost() {
+        // 0=1 over a cheap and a dear link, then 1-2.
+        let mut t = Topology::new(3);
+        let cheap = t.add_link(0, 1, attrs(1));
+        let dear = t.add_link(0, 1, attrs(3));
+        t.add_link(1, 2, attrs(1));
+        let mut live = Live::new(&t);
+        // The dear link carries nothing: cutting it changes no route.
+        assert!(live.set(&t, dear, true).iter().all(Vec::is_empty));
+        live.set(&t, dear, false);
+        // Cutting the cheap one re-attaches 1 and 2 over the dear one.
+        let reports = live.set(&t, cheap, true);
+        assert_eq!(live.trees[0].dist[2], 4);
+        assert_eq!(reports[0], vec![], "same neighbor, dearer link");
+        live.set(&t, cheap, false);
+        assert_eq!(live.trees[0].dist[2], 2);
+    }
+
+    #[test]
+    fn update_on_a_current_tree_changes_nothing() {
+        let t = diamond();
+        let mut live = Live::new(&t);
+        for down in [true, false] {
+            live.set(&t, 1, down);
+            let current = live.trees.clone();
+            assert!(live.set(&t, 1, down).iter().all(Vec::is_empty), "repeat of {down}");
+            for (tree, was) in live.trees.iter().zip(&current) {
+                assert_eq!((&tree.dist, &tree.ecmp), (&was.dist, &was.ecmp));
+            }
+        }
+    }
+
+    #[test]
+    fn update_with_zero_cost_links_falls_back_to_a_full_run() {
+        let mut t = Topology::new(3);
+        t.add_link(0, 1, attrs(0));
+        t.add_link(1, 2, attrs(1));
+        t.add_link(0, 2, attrs(1));
+        let mut live = Live::new(&t);
+        live.set(&t, 0, true);
+        live.set(&t, 0, false);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Two control planes the paper's architecture assumes:
 //!
 //! * [`igp`] — a link-state interior gateway protocol (OSPF-like): LSA
-//!   flooding cost model and Dijkstra SPF with deterministic tie-breaking.
-//!   Its next hops drive LDP label distribution and backbone forwarding.
+//!   flooding cost model and Dijkstra SPF with deterministic tie-breaking,
+//!   plus an incremental in-place update of an SPF tree after one link
+//!   event. Its next hops drive LDP label distribution and backbone
+//!   forwarding.
 //! * [`bgpvpn`] — the RFC 2547 machinery: route distinguishers make
 //!   overlapping customer prefixes globally unique, route targets control
 //!   VRF import/export, VPN labels are piggybacked on route updates, and a
@@ -50,5 +52,5 @@ pub mod topology;
 pub use bgpvpn::{
     BgpVpnFabric, DistributionMode, RemoteRoute, RouteDistinguisher, RouteTarget, VrfHandle,
 };
-pub use igp::{Igp, SpfTree};
+pub use igp::{Igp, SpfScratch, SpfTree};
 pub use topology::{LinkAttrs, Topology};

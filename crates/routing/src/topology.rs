@@ -101,6 +101,29 @@ impl Topology {
             .unwrap_or_else(|| panic!("{v} is not adjacent to {u}"))
     }
 
+    /// The first interface from `u` to `v` over a link for which
+    /// `usable(link_id)` holds (parallel links make the first link's
+    /// interface the wrong one once it fails).
+    pub fn live_iface_toward(
+        &self,
+        u: usize,
+        v: usize,
+        usable: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        self.adj[u].iter().position(|e| e.peer == v && usable(e.link))
+    }
+
+    /// The interface index at `u` of link `link`.
+    ///
+    /// # Panics
+    /// Panics if `link` is not incident to `u`.
+    pub fn link_iface(&self, u: usize, link: usize) -> usize {
+        self.adj[u]
+            .iter()
+            .position(|e| e.link == link)
+            .unwrap_or_else(|| panic!("link {link} is not incident to {u}"))
+    }
+
     /// Builds a ring of `n` nodes (convenience for tests/experiments).
     pub fn ring(n: usize, attrs: LinkAttrs) -> Self {
         let mut t = Topology::new(n);
@@ -139,6 +162,17 @@ mod tests {
         assert_eq!(t.iface_toward(1, 2), 1);
         let (u, v, a) = t.link(0);
         assert_eq!((u, v, a.cost), (0, 1, 5));
+    }
+
+    #[test]
+    fn parallel_links_resolve_by_link_and_by_liveness() {
+        let mut t = Topology::new(2);
+        let first = t.add_link(0, 1, LinkAttrs::default());
+        let second = t.add_link(0, 1, LinkAttrs::default());
+        assert_eq!((t.link_iface(0, first), t.link_iface(1, second)), (0, 1));
+        assert_eq!(t.iface_toward(0, 1), 0);
+        assert_eq!(t.live_iface_toward(0, 1, |l| l != first), Some(1));
+        assert_eq!(t.live_iface_toward(1, 0, |_| false), None);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Property-based tests for routing: SPF against a Floyd–Warshall oracle
-//! on random weighted graphs, and BGP/VPN fabric invariants under random
+//! on random weighted graphs, incremental SPF against full runs under
+//! random link events, and BGP/VPN fabric invariants under random
 //! VRF/route scripts.
 
 use netsim_net::{Ip, Prefix};
+use netsim_routing::igp::{spf, spf_filtered};
 use netsim_routing::{
-    BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology,
+    BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, SpfScratch,
+    Topology,
 };
 use proptest::prelude::*;
 
@@ -192,5 +195,69 @@ proptest! {
         prop_assert_eq!(mesh_routes, rr_routes, "reachability must not depend on distribution");
         prop_assert_eq!(mesh_sessions, (pe_count * (pe_count - 1) / 2) as u64);
         prop_assert_eq!(rr_sessions, pe_count as u64);
+    }
+}
+
+/// A random multigraph: 1–9 nodes, links of cost 1–4 between random
+/// endpoints (parallel links kept, self-loops dropped, so some nodes may be
+/// isolated).
+fn arb_multigraph() -> impl Strategy<Value = Topology> {
+    (1usize..10)
+        .prop_flat_map(|n| (Just(n), proptest::collection::vec((0..n, 0..n, 1u64..=4), 0..3 * n)))
+        .prop_map(|(n, links)| {
+            let mut t = Topology::new(n);
+            for (u, v, cost) in links.into_iter().filter(|&(u, v, _)| u != v) {
+                t.add_link(u, v, LinkAttrs { cost, capacity_bps: 1 });
+            }
+            t
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Incremental SPF equals a full run after every event of a random
+    /// down/up sequence (repeats of a link's current state included), from
+    /// every root. Trees follow the control plane's discipline: the
+    /// `affected_by` gate first, `update` only when it admits the event;
+    /// a skipped tree must already be exact. The update's report names
+    /// exactly the nodes whose next hop or reachability changed.
+    #[test]
+    fn incremental_spf_equals_a_full_run(
+        topo in arb_multigraph(),
+        events in proptest::collection::vec((any::<u64>(), any::<bool>()), 1..24),
+    ) {
+        let n = topo.node_count();
+        let mut down = vec![false; topo.link_count()];
+        let mut trees: Vec<_> = (0..n).map(|r| spf(&topo, r)).collect();
+        let mut scratch = SpfScratch::default();
+        for (pick, now_down) in events {
+            if down.is_empty() {
+                break;
+            }
+            let link = (pick % down.len() as u64) as usize;
+            down[link] = now_down;
+            let usable = |l: usize| !down[l];
+            for tree in &mut trees {
+                let old = tree.clone();
+                let admitted = tree.affected_by(&topo, link, now_down);
+                if admitted {
+                    tree.update(&topo, link, &usable, &mut scratch);
+                }
+                let want = spf_filtered(&topo, tree.root, &usable);
+                let root = tree.root;
+                prop_assert_eq!(&tree.dist, &want.dist, "dist from {} (admitted {})", root, admitted);
+                prop_assert_eq!(&tree.next_hop, &want.next_hop, "next hops from {}", root);
+                prop_assert_eq!(&tree.ecmp, &want.ecmp, "ECMP sets from {}", root);
+                if admitted {
+                    for v in 0..n {
+                        let moved = old.next_hop[v] != want.next_hop[v];
+                        let flipped = old.reachable(v) != want.reachable(v);
+                        prop_assert_eq!(scratch.next_hop_changed(v), moved, "{} → {}", root, v);
+                        prop_assert_eq!(scratch.reachability_changed(v), flipped);
+                    }
+                }
+            }
+        }
     }
 }

@@ -304,6 +304,72 @@ fn partition_heals_through_database_exchange_in_both_modes() {
     assert_eq!(run(ControlMode::Oracle), run(ControlMode::InBand), "modes diverge");
 }
 
+/// PE0 and P1 joined by two parallel links (0 and 1), P1 to PE2 by link 2.
+fn twin() -> (Topology, Vec<usize>) {
+    let mut topo = Topology::new(3);
+    let attrs = LinkAttrs { cost: 1, capacity_bps: 10_000_000 };
+    for (u, v) in [(0, 1), (0, 1), (1, 2)] {
+        topo.add_link(u, v, attrs);
+    }
+    (topo, vec![0, 2])
+}
+
+/// Cutting one of two parallel links keeps the LSP on the other one in
+/// both modes: the LDP session to the far end lives while any adjacency
+/// does, and FTNs, transit entries and forwarded MP-BGP updates leave on
+/// the first interface the view believes is up. A join while link 0 is
+/// down must reach PE0 over link 1. Cutting both links partitions the
+/// backbone, and repairing one heals it. Every step is checked against
+/// the reference over the live links and across modes.
+#[test]
+fn parallel_link_failure_keeps_the_lsp_in_both_modes() {
+    let joined: mplsvpn::net::Prefix = "10.3.0.0/16".parse().unwrap();
+    let run = |mode: ControlMode| {
+        let (t, p) = twin();
+        let pes = p.clone();
+        let mut pn = BackboneBuilder::new(t, p).detection(20 * MSEC).control_mode(mode).build();
+        let vpn = pn.new_vpn("acme");
+        pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
+        pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
+        pn.run_for(100 * MSEC);
+        let mut out = Vec::new();
+        let steps: [(&[usize], &[usize], bool); 5] = [
+            (&[0], &[], true),
+            (&[], &[0], true),
+            (&[1], &[], true),
+            (&[0], &[], false),
+            (&[], &[1], true),
+        ];
+        for (k, &(fail, repair, connected)) in steps.iter().enumerate() {
+            fail.iter().for_each(|&l| pn.fail_link(l));
+            repair.iter().for_each(|&l| pn.repair_link(l));
+            pn.run_for(300 * MSEC);
+            if mode == ControlMode::Oracle {
+                pn.reconverge();
+            }
+            pn.run_for(100 * MSEC);
+            if k == 0 {
+                pn.add_site(vpn, 1, joined, None);
+                pn.run_for(100 * MSEC);
+                let row = pn.vrf_digest(0, vpn).into_iter().find(|(p, _)| *p == joined);
+                assert!(
+                    matches!(&row, Some((_, Some((1, _, Some(path))))) if *path == [0, 1, 2]),
+                    "PE0 learned 10.3/16 over link 1 on a live tunnel ({mode:?}): {row:?}"
+                );
+            }
+            let at = format!("{mode:?} parallel step {k}");
+            let d = digest(&mut pn, &pes, &[vpn], &[]);
+            assert_matches_reference(&pn, &pes, &d, &at);
+            for (i, j) in [(0, 1), (1, 0)] {
+                assert_eq!(pn.lsp_path(i, j).is_some(), connected, "{at}: LSP {i} → {j}");
+            }
+            out.push(d);
+        }
+        out
+    };
+    assert_eq!(run(ControlMode::Oracle), run(ControlMode::InBand), "modes diverge");
+}
+
 /// The RT-policy checkpoints actually do something: the extranet import
 /// adds acme's remote routes to buynlarge's VRF and the removal takes
 /// them back — in both modes, with zero control messages either way.
