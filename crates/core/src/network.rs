@@ -27,7 +27,8 @@ use netsim_qos::{
     QueueDiscipline, RedParams, RedQueue, WfqScheduler,
 };
 use netsim_routing::{
-    BgpVpnFabric, DistributionMode, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
+    BgpVpnFabric, DistributionMode, RouteChange, RouteDistinguisher, RouteTarget, Topology,
+    VrfHandle,
 };
 use netsim_sim::{
     CbrSource, IfaceId, LinkConfig, LinkId, Network, NodeId, OnOffSource, PoissonSource, Sink,
@@ -39,7 +40,7 @@ use std::rc::Rc;
 
 use crate::control::{
     Applied, ControlDb, ControlHandle, ControlMode, CtrlMsg, CtrlStats, NodeTables, VpnChange,
-    VpnDelta, VpnPath,
+    VpnDelta,
 };
 use crate::router::{CeRouter, CoreRouter, PeRouter, VrfRoute};
 use crate::trace::TraceLog;
@@ -152,16 +153,6 @@ pub(crate) struct VpnInfo {
     pub(crate) name: String,
     pub(crate) rt: RouteTarget,
     pub(crate) rd: RouteDistinguisher,
-}
-
-/// One VRF's state for a prefix, as the VPN-route producer diffs it.
-struct VrfSelection {
-    handle: VrfHandle,
-    vrf_idx: usize,
-    /// The VRF originates the prefix (a locally attached site).
-    local: bool,
-    /// The imported best path the fabric selected.
-    best: Option<VpnPath>,
 }
 
 /// Builder for a [`ProviderNetwork`].
@@ -362,7 +353,8 @@ pub struct ProviderNetwork {
     /// All sites added so far, indexed by [`SiteId`].
     pub sites: Vec<SiteInfo>,
     /// Ordered by (PE, VPN), so every walk over the VRFs is deterministic.
-    pub(crate) vrf_handles: BTreeMap<(usize, VpnId), (VrfHandle, usize)>,
+    /// A handle's index is also the VRF's slot on the PE router.
+    pub(crate) vrf_handles: BTreeMap<(usize, VpnId), VrfHandle>,
     access_rate_bps: u64,
     access_delay_ns: Nanos,
     trace: Option<TraceLog>,
@@ -411,7 +403,7 @@ impl ProviderNetwork {
     }
 
     /// Declares a new VPN; its sites will all import/export one route
-    /// target.
+    /// target. Route distinguishers number the VPNs in creation order.
     pub fn new_vpn(&mut self, name: impl Into<String>) -> VpnId {
         let id = VpnId(self.vpns.len());
         self.vpns.push(VpnInfo {
@@ -442,23 +434,25 @@ impl ProviderNetwork {
         let pe_node = self.node_ids[pe_topo];
 
         // Ensure the VRF exists on this PE (control plane + data plane).
-        let (handle, vrf_idx) = match self.vrf_handles.get(&(pe, vpn)) {
-            Some(&hv) => hv,
+        let handle = match self.vrf_handles.get(&(pe, vpn)) {
+            Some(&handle) => handle,
             None => {
                 let info = &self.vpns[vpn.0];
                 let handle = self.fabric.add_vrf(pe, info.rd, vec![info.rt], vec![info.rt]);
                 let name = info.name.clone();
                 let vrf_idx = self.net.node_mut::<PeRouter>(pe_node).add_vrf(name.clone());
+                assert_eq!(handle.index, vrf_idx, "fabric and PE VRF slots out of sync");
                 let fwd = self.registry.counter(&format!("vrf.{name}.pe{pe}.forwarded"));
                 self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf_idx].set_forward_counter(fwd);
                 self.fabric.refresh_vrf(handle);
-                self.vrf_handles.insert((pe, vpn), (handle, vrf_idx));
+                self.vrf_handles.insert((pe, vpn), handle);
                 // A brand-new VRF gets its initial RIB download in place;
                 // afterwards only deltas arrive.
-                self.download_vrf(handle, vrf_idx);
-                (handle, vrf_idx)
+                self.download_vrf(handle);
+                handle
             }
         };
+        let vrf_idx = handle.index;
 
         // CE device + access link (CE first so its uplink is iface 0).
         let mut ce =
@@ -475,16 +469,13 @@ impl ProviderNetwork {
 
         // Advertise and install locally, then send one update (VPN label
         // piggybacked, §4) to each VRF whose best path changed.
-        let before = self.vpn_selections(handle, prefix);
-        let label = self.fabric.advertise(handle, prefix);
+        let (label, changes) = self.fabric.advertise(handle, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(pe_node);
             per.install_local_route(vrf_idx, prefix, pe_if.0);
             per.install_vpn_label(label, vrf_idx);
         }
-        for delta in self.vpn_deltas(prefix, &before, |best| best.map(VpnChange::Update)) {
-            self.deliver_vpn_delta(pe, delta);
-        }
+        self.deliver_changes(pe, changes, false);
 
         let site = SiteId(self.sites.len());
         self.sites.push(SiteInfo { vpn, pe, prefix, ce: ce_id, access_link, pe_iface: pe_if.0 });
@@ -515,7 +506,7 @@ impl ProviderNetwork {
             let s = &self.sites[site.0];
             (s.vpn, s.pe, s.prefix, s.access_link)
         };
-        let (handle, vrf_idx) = self.vrf_handles[&(pe, vpn)];
+        let handle = self.vrf_handles[&(pe, vpn)];
         // The VPN label this home advertised for the prefix; none left
         // means the site is already detached.
         let Some(label) =
@@ -523,74 +514,41 @@ impl ProviderNetwork {
         else {
             return;
         };
-        let before = self.vpn_selections(handle, prefix);
-        self.fabric.withdraw(handle, prefix);
+        let mut changes = self.fabric.withdraw(handle, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(self.pe_node(pe));
-            per.vrfs[vrf_idx].fib.remove(prefix);
+            per.vrfs[handle.index].fib.remove(prefix);
             per.vpn_ilm.remove(&label);
         }
         self.net.set_link_enabled(access_link, false);
-        // Every VRF whose best path changed — this PE's own VRF included,
-        // whose local route is gone — gets a withdraw carrying the
-        // replacement path, if any survives.
-        for delta in self.vpn_deltas(prefix, &before, |best| Some(VpnChange::Withdraw(best))) {
-            self.deliver_vpn_delta(pe, delta);
+        // The home's own VRF changes too: its local route hid the imported
+        // best path (a surviving home elsewhere), which it now installs.
+        let best = self.fabric.routes(handle).get(prefix).copied();
+        changes.push(RouteChange { vrf: handle, prefix, best });
+        self.deliver_changes(pe, changes, true);
+    }
+
+    /// Turns the fabric's changed VRF rows into VPN deltas from PE
+    /// `origin_pe` and delivers them in (PE ordinal, VPN) order. A row that
+    /// lost its path (`withdrawn`) becomes a withdraw carrying the
+    /// replacement; otherwise a new path is an update.
+    fn deliver_changes(
+        &mut self,
+        origin_pe: usize,
+        mut changes: Vec<RouteChange>,
+        withdrawn: bool,
+    ) {
+        // Route distinguishers number the VPNs, so this is (PE, VPN) order.
+        changes.sort_by_key(|c| (c.vrf.pe, self.fabric.vrf_rd(c.vrf)));
+        for RouteChange { vrf, prefix, best } in changes {
+            let path = best.map(|r| (r.egress_pe, r.vpn_label));
+            let change = match path {
+                Some(path) if !withdrawn => VpnChange::Update(path),
+                _ => VpnChange::Withdraw(path),
+            };
+            let delta = VpnDelta { target: vrf.pe, vrf_idx: vrf.index, prefix, change };
+            self.deliver_vpn_delta(origin_pe, delta);
         }
-    }
-
-    /// The state for `prefix` of every VRF that can hold `origin`'s route
-    /// for it, in (PE, VPN) order: `origin` itself and each VRF importing
-    /// one of its export targets. Routes travel only along shared route
-    /// targets, export targets are never removed, and
-    /// [`ProviderNetwork::remove_import_target`] re-filters the table, so
-    /// no other VRF's selection can change.
-    fn vpn_selections(&self, origin: VrfHandle, prefix: Prefix) -> Vec<VrfSelection> {
-        let exports = self.fabric.export_targets(origin);
-        self.vrf_handles
-            .values()
-            .filter(|&&(handle, _)| {
-                handle == origin
-                    || self.fabric.import_targets(handle).iter().any(|rt| exports.contains(rt))
-            })
-            .map(|&(handle, vrf_idx)| self.vpn_selection(handle, vrf_idx, prefix))
-            .collect()
-    }
-
-    /// One VRF's state for `prefix`: whether it originates the prefix, and
-    /// the imported best path the fabric selected for it.
-    fn vpn_selection(&self, handle: VrfHandle, vrf_idx: usize, prefix: Prefix) -> VrfSelection {
-        VrfSelection {
-            handle,
-            vrf_idx,
-            local: self.fabric.local_routes(handle).iter().any(|(p, _)| *p == prefix),
-            best: self.fabric.routes(handle).get(prefix).map(|r| (r.egress_pe, r.vpn_label)),
-        }
-    }
-
-    /// The VPN-route producer: diffs each VRF's selection for `prefix`
-    /// against `before` (taken ahead of a fabric change) and returns one
-    /// delta per VRF whose imported best path changed, or whose local
-    /// route went away and so exposes the imported one. `change` turns
-    /// the new best path into the delta kind (`None` sends nothing).
-    fn vpn_deltas(
-        &self,
-        prefix: Prefix,
-        before: &[VrfSelection],
-        change: impl Fn(Option<VpnPath>) -> Option<VpnChange>,
-    ) -> Vec<VpnDelta> {
-        before
-            .iter()
-            .filter_map(|was| {
-                let now = self.vpn_selection(was.handle, was.vrf_idx, prefix);
-                let local_lost = was.local && !now.local;
-                if now.best == was.best && !local_lost {
-                    return None;
-                }
-                let change = change(now.best)?;
-                Some(VpnDelta { target: was.handle.pe, vrf_idx: was.vrf_idx, prefix, change })
-            })
-            .collect()
     }
 
     /// Delivers a VPN delta originated at PE `origin_pe`: the one place
@@ -627,17 +585,10 @@ impl ProviderNetwork {
     }
 
     /// Installs one VRF's whole imported table from the fabric.
-    fn download_vrf(&mut self, handle: VrfHandle, vrf_idx: usize) {
-        let routes: Vec<(Prefix, VpnPath)> = self
-            .fabric
-            .routes(handle)
-            .iter()
-            .map(|(p, r)| (p, (r.egress_pe, r.vpn_label)))
-            .collect();
-        for (prefix, path) in routes {
-            let change = VpnChange::Update(path);
-            self.apply_vpn_delta(VpnDelta { target: handle.pe, vrf_idx, prefix, change });
-        }
+    fn download_vrf(&mut self, handle: VrfHandle) {
+        let routes = self.fabric.routes(handle).iter();
+        let changes = routes.map(|(prefix, r)| RouteChange { vrf: handle, prefix, best: Some(*r) });
+        self.deliver_changes(handle.pe, changes.collect(), false);
     }
 
     /// The tunnel FTN toward PE ordinal `egress` that topology node `node`
@@ -652,8 +603,8 @@ impl ProviderNetwork {
     /// directly. Where a PE has no LSP toward the egress the existing
     /// route stays and the skip is counted.
     pub fn sync_remote_routes(&mut self) {
-        let vrfs: Vec<(VrfHandle, usize)> = self.vrf_handles.values().copied().collect();
-        vrfs.into_iter().for_each(|(handle, vrf_idx)| self.download_vrf(handle, vrf_idx));
+        let vrfs: Vec<VrfHandle> = self.vrf_handles.values().copied().collect();
+        vrfs.into_iter().for_each(|handle| self.download_vrf(handle));
     }
 
     /// Attaches a measuring sink host at `site` answering for
@@ -860,28 +811,21 @@ impl ProviderNetwork {
     /// Adj-RIB-In re-filtering — zero control messages in either mode;
     /// only the one touched PE's data plane changes.
     pub fn add_import_target(&mut self, pe: usize, vpn: VpnId, rt: RouteTarget) {
-        let (handle, vrf_idx) = self.vrf_handles[&(pe, vpn)];
+        let handle = self.vrf_handles[&(pe, vpn)];
         self.fabric.add_import_target(handle, rt);
-        self.apply_refilter(pe, handle, vrf_idx);
+        let changes = self.fabric.refilter_vrf(handle);
+        self.deliver_changes(pe, changes, false);
     }
 
     /// Removes an import route target from the VRF for `vpn` at PE `pe`
-    /// and applies the resulting route deltas (withdrawing imports that no
-    /// longer match any policy).
+    /// and applies the resulting route deltas: an import that no longer
+    /// matches any policy is withdrawn, or replaced by the best route that
+    /// still does.
     pub fn remove_import_target(&mut self, pe: usize, vpn: VpnId, rt: RouteTarget) {
-        let (handle, vrf_idx) = self.vrf_handles[&(pe, vpn)];
+        let handle = self.vrf_handles[&(pe, vpn)];
         self.fabric.remove_import_target(handle, rt);
-        self.apply_refilter(pe, handle, vrf_idx);
-    }
-
-    fn apply_refilter(&mut self, pe: usize, handle: VrfHandle, vrf_idx: usize) {
-        let (added, removed) = self.fabric.refilter_vrf(handle);
-        let removed = removed.into_iter().map(|(prefix, _)| (prefix, VpnChange::Withdraw(None)));
-        let added =
-            added.into_iter().map(|(p, r)| (p, VpnChange::Update((r.egress_pe, r.vpn_label))));
-        for (prefix, change) in removed.chain(added) {
-            self.apply_vpn_delta(VpnDelta { target: pe, vrf_idx, prefix, change });
-        }
+        let changes = self.fabric.refilter_vrf(handle);
+        self.deliver_changes(pe, changes, true);
     }
 
     // -- control-plane observability & parity hooks -------------------------
@@ -1000,7 +944,7 @@ impl ProviderNetwork {
     /// one, where `tunnel_path` is the tunnel's node walk through the
     /// live LFIBs (`None` = broken LSP).
     pub fn vrf_digest(&mut self, pe: usize, vpn: VpnId) -> Vec<VrfDigestRow> {
-        let (_h, vrf_idx) = self.vrf_handles[&(pe, vpn)];
+        let vrf_idx = self.vrf_handles[&(pe, vpn)].index;
         let pe_node = self.node_ids[self.pes[pe]];
         let rows: Vec<(Prefix, VrfRoute)> = self.net.node_ref::<PeRouter>(pe_node).vrfs[vrf_idx]
             .fib
@@ -1040,7 +984,7 @@ impl ProviderNetwork {
         prefix: Prefix,
         tunnel: netsim_mpls::FtnEntry,
     ) {
-        let (handle, vrf_idx) = *self
+        let handle = *self
             .vrf_handles
             .get(&(ingress_pe, vpn))
             .unwrap_or_else(|| panic!("no VRF for VPN {vpn:?} on PE{ingress_pe}"));
@@ -1051,7 +995,7 @@ impl ProviderNetwork {
             .unwrap_or_else(|| panic!("no remote route {prefix} at PE{ingress_pe}"));
         let pe_node = self.pe_node(ingress_pe);
         self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-            vrf_idx,
+            handle.index,
             prefix,
             r.egress_pe,
             r.vpn_label,
@@ -1235,7 +1179,7 @@ impl ProviderNetwork {
         prefix: Prefix,
         tunnel: netsim_mpls::FtnEntry,
     ) {
-        let (handle, vrf_idx) = *self
+        let handle = *self
             .vrf_handles
             .get(&(ingress_pe, vpn))
             .unwrap_or_else(|| panic!("no VRF for VPN {vpn:?} on PE{ingress_pe}"));
@@ -1246,7 +1190,7 @@ impl ProviderNetwork {
             .unwrap_or_else(|| panic!("no covering route for {prefix} at PE{ingress_pe}"));
         let pe_node = self.pe_node(ingress_pe);
         self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-            vrf_idx,
+            handle.index,
             prefix,
             r.egress_pe,
             r.vpn_label,
@@ -1254,10 +1198,10 @@ impl ProviderNetwork {
         );
     }
 
-    /// The fabric handle and local VRF index for a VPN on a PE, if that PE
-    /// hosts any of the VPN's sites. Needed for policy surgery such as
-    /// extranet route-target additions.
-    pub fn vrf_handle(&self, pe: usize, vpn: VpnId) -> Option<(VrfHandle, usize)> {
+    /// The fabric handle for a VPN on a PE, if that PE hosts any of the
+    /// VPN's sites; its index is also the VRF's slot on the PE router.
+    /// Needed for policy surgery such as extranet route-target additions.
+    pub fn vrf_handle(&self, pe: usize, vpn: VpnId) -> Option<VrfHandle> {
         self.vrf_handles.get(&(pe, vpn)).copied()
     }
 
@@ -1466,12 +1410,13 @@ mod tests {
         // Extranet provisioning: the depot VRF exports an extra RT that the
         // globex VRF imports; re-advertise under the new policy.
         let extranet_rt = RouteTarget(999);
-        let (depot_handle, depot_vrf) = pn.vrf_handle(1, acme).expect("depot VRF");
-        let (globex_handle, _) = pn.vrf_handle(0, globex).expect("globex VRF");
+        let depot_handle = pn.vrf_handle(1, acme).expect("depot VRF");
+        let depot_vrf = depot_handle.index;
+        let globex_handle = pn.vrf_handle(0, globex).expect("globex VRF");
         pn.fabric.add_export_target(depot_handle, extranet_rt);
         pn.fabric.add_import_target(globex_handle, extranet_rt);
         pn.fabric.withdraw(depot_handle, pfx("10.77.0.0/16"));
-        let label = pn.fabric.advertise(depot_handle, pfx("10.77.0.0/16"));
+        let (label, _) = pn.fabric.advertise(depot_handle, pfx("10.77.0.0/16"));
         {
             let depot_iface = pn.sites[depot.0].pe_iface;
             let pe1 = pn.pe_node(1);

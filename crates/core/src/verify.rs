@@ -129,7 +129,7 @@ impl ProviderNetwork {
         let mut policies: Vec<VrfPolicy> = self
             .vrf_handles
             .iter()
-            .map(|(&(pe, vpn), &(handle, _))| VrfPolicy {
+            .map(|(&(pe, vpn), &handle)| VrfPolicy {
                 name: format!("PE{pe}:{}", self.vpns[vpn.0].name),
                 vpn: vpn.0,
                 imports: self.fabric.import_targets(handle).iter().map(|rt| rt.0).collect(),

@@ -15,8 +15,16 @@
 //! * **Data separation** — the importer ends up with a per-VRF LPM table
 //!   mapping prefixes to `(egress PE, VPN label)`, which `mplsvpn-core`
 //!   installs into PE data planes.
+//!
+//! One function decides which advertisement a VRF imports for a prefix:
+//! it re-selects that (VRF, prefix) pair from the RIB under the VRF's
+//! current import policy. [`BgpVpnFabric::advertise`],
+//! [`BgpVpnFabric::withdraw`] and [`BgpVpnFabric::refilter_vrf`] run it for
+//! the VRFs they can affect and return every table row that changed as a
+//! [`RouteChange`], so a caller mirroring the tables into data planes
+//! applies exactly those.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use netsim_mpls::LabelSpace;
 use netsim_net::{LpmTrie, Prefix};
@@ -70,15 +78,33 @@ pub struct RemoteRoute {
     pub rd: RouteDistinguisher,
 }
 
-/// A VPN-IPv4 advertisement as carried by the fabric.
+/// One changed row of a VRF's imported table.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RouteChange {
+    /// The VRF whose table changed.
+    pub vrf: VrfHandle,
+    /// The prefix whose row changed.
+    pub prefix: Prefix,
+    /// The row now: the selected best path, or `None` when the prefix left
+    /// the table.
+    pub best: Option<RemoteRoute>,
+}
+
+/// A VPN-IPv4 advertisement as carried by the fabric (the RIB key holds
+/// its prefix).
 #[derive(Clone, Debug)]
 struct VpnRouteAd {
-    rd: RouteDistinguisher,
-    prefix: Prefix,
-    egress_pe: usize,
-    vpn_label: u32,
+    route: RemoteRoute,
     export_targets: Vec<RouteTarget>,
     origin: VrfHandle,
+}
+
+impl VpnRouteAd {
+    /// Whether VRF `vrf` (state `v`) may import this route: a route from
+    /// another PE whose export targets meet the VRF's import targets.
+    fn importable(&self, vrf: VrfHandle, v: &VrfControl) -> bool {
+        self.route.egress_pe != vrf.pe && v.imports(&self.export_targets)
+    }
 }
 
 /// One VRF's control-plane state.
@@ -91,6 +117,14 @@ struct VrfControl {
     local: Vec<(Prefix, u32)>,
     /// Imported remote routes.
     table: LpmTrie<RemoteRoute>,
+}
+
+impl VrfControl {
+    /// Whether the VRF's import policy admits a route exported with
+    /// `exports`.
+    fn imports(&self, exports: &[RouteTarget]) -> bool {
+        self.import.iter().any(|t| exports.contains(t))
+    }
 }
 
 /// One PE's control-plane state.
@@ -122,8 +156,9 @@ pub const VPN_LABEL_BASE: u32 = 1 << 17;
 pub struct BgpVpnFabric {
     pes: Vec<PeControl>,
     mode: DistributionMode,
-    /// All advertisements currently in the fabric (the RR's Adj-RIB).
-    rib: Vec<VpnRouteAd>,
+    /// All advertisements currently in the fabric (the RR's Adj-RIB), by
+    /// prefix.
+    rib: BTreeMap<Prefix, Vec<VpnRouteAd>>,
     messages: u64,
 }
 
@@ -139,7 +174,7 @@ impl BgpVpnFabric {
                 })
                 .collect(),
             mode,
-            rib: Vec::new(),
+            rib: BTreeMap::new(),
             messages: 0,
         }
     }
@@ -178,7 +213,7 @@ impl BgpVpnFabric {
 
     /// Adds an import target to a VRF (extranet provisioning). Takes
     /// effect for subsequently distributed routes; call
-    /// [`BgpVpnFabric::refresh_vrf`] to pull existing ones.
+    /// [`BgpVpnFabric::refilter_vrf`] to pull existing ones.
     pub fn add_import_target(&mut self, vrf: VrfHandle, rt: RouteTarget) {
         let v = &mut self.pes[vrf.pe].vrfs[vrf.index];
         if !v.import.contains(&rt) {
@@ -196,9 +231,9 @@ impl BgpVpnFabric {
         }
     }
 
-    /// Removes an import target from a VRF. Already-imported routes stay
-    /// until the next [`BgpVpnFabric::refresh_vrf`] — exactly the stale
-    /// state the static verifier exists to catch.
+    /// Removes an import target from a VRF. Routes already imported under
+    /// it stay in the table until [`BgpVpnFabric::refilter_vrf`] re-selects
+    /// them — exactly the stale state the static verifier exists to catch.
     pub fn remove_import_target(&mut self, vrf: VrfHandle, rt: RouteTarget) {
         self.pes[vrf.pe].vrfs[vrf.index].import.retain(|t| *t != rt);
     }
@@ -221,81 +256,48 @@ impl BgpVpnFabric {
     /// Advertises `prefix` from `vrf` (a connected customer route learned
     /// from the attached CE): allocates a VPN label, installs the egress
     /// dispatch entry, and distributes the route to every importing VRF.
-    /// Returns the VPN label.
-    pub fn advertise(&mut self, vrf: VrfHandle, prefix: Prefix) -> u32 {
+    /// Returns the VPN label and the table rows that changed.
+    pub fn advertise(&mut self, vrf: VrfHandle, prefix: Prefix) -> (u32, Vec<RouteChange>) {
         let pe = &mut self.pes[vrf.pe];
         let label = pe.label_space.allocate();
         pe.vpn_ilm.insert(label, (vrf.index, prefix));
         let v = &mut pe.vrfs[vrf.index];
         v.local.push((prefix, label));
-        let ad = VpnRouteAd {
-            rd: v.rd,
-            prefix,
-            egress_pe: vrf.pe,
-            vpn_label: label,
-            export_targets: v.export.clone(),
-            origin: vrf,
-        };
-        self.distribute(&ad);
-        self.rib.push(ad);
-        label
+        let route = RemoteRoute { egress_pe: vrf.pe, vpn_label: label, rd: v.rd };
+        let exports = v.export.clone();
+        self.messages += self.update_fanout();
+        let ad = VpnRouteAd { route, export_targets: exports.clone(), origin: vrf };
+        self.rib.entry(prefix).or_default().push(ad);
+        // Only a VRF that imports the new route can select it.
+        (label, self.reselect(prefix, |v| v.imports(&exports)))
     }
 
-    /// Withdraws a previously advertised prefix: removes it from every
-    /// importer, frees the label, removes the dispatch entry — and, where
-    /// another PE still advertises the same prefix (a multihomed site),
-    /// fails importers over to the next-best path.
-    pub fn withdraw(&mut self, vrf: VrfHandle, prefix: Prefix) {
-        let Some(pos) = self.rib.iter().position(|ad| ad.origin == vrf && ad.prefix == prefix)
-        else {
-            return;
+    /// Withdraws a previously advertised prefix: frees the label, removes
+    /// the dispatch entry and re-selects the prefix in every VRF that held
+    /// the withdrawn route — which fails it over to the next-best path
+    /// where another PE still advertises the prefix (a multihomed site).
+    /// Returns the table rows that changed.
+    pub fn withdraw(&mut self, vrf: VrfHandle, prefix: Prefix) -> Vec<RouteChange> {
+        let Some(ads) = self.rib.get_mut(&prefix) else {
+            return Vec::new();
         };
-        let ad = self.rib.swap_remove(pos);
-        // Withdrawal costs the same messages as the announcement.
-        self.messages += self.update_fanout(ad.egress_pe);
-        // Remaining candidate advertisements for the same prefix.
-        let alternatives: Vec<VpnRouteAd> =
-            self.rib.iter().filter(|x| x.prefix == prefix).cloned().collect();
-        for (pi, pe) in self.pes.iter_mut().enumerate() {
-            for v in &mut pe.vrfs {
-                let Some(existing) = v.table.get(ad.prefix) else {
-                    continue;
-                };
-                let held_withdrawn = existing.rd == ad.rd
-                    && existing.egress_pe == ad.egress_pe
-                    && existing.vpn_label == ad.vpn_label
-                    && pi != ad.egress_pe;
-                if !held_withdrawn {
-                    continue;
-                }
-                v.table.remove(ad.prefix);
-                // Failover: best remaining importable advertisement.
-                let best = alternatives
-                    .iter()
-                    .filter(|x| {
-                        x.egress_pe != pi && v.import.iter().any(|t| x.export_targets.contains(t))
-                    })
-                    .min_by_key(|x| (x.egress_pe, x.vpn_label));
-                if let Some(alt) = best {
-                    v.table.insert(
-                        prefix,
-                        RemoteRoute {
-                            egress_pe: alt.egress_pe,
-                            vpn_label: alt.vpn_label,
-                            rd: alt.rd,
-                        },
-                    );
-                }
-            }
+        let Some(pos) = ads.iter().position(|ad| ad.origin == vrf) else {
+            return Vec::new();
+        };
+        let gone = ads.swap_remove(pos).route;
+        if ads.is_empty() {
+            self.rib.remove(&prefix);
         }
+        // Withdrawal costs the same messages as the announcement.
+        self.messages += self.update_fanout();
         let pe = &mut self.pes[vrf.pe];
-        pe.vpn_ilm.remove(&ad.vpn_label);
-        pe.label_space.release(ad.vpn_label);
+        pe.vpn_ilm.remove(&gone.vpn_label);
+        pe.label_space.release(gone.vpn_label);
         pe.vrfs[vrf.index].local.retain(|(p, _)| *p != prefix);
+        self.reselect(prefix, |v| v.table.get(prefix) == Some(&gone))
     }
 
-    fn update_fanout(&self, from_pe: usize) -> u64 {
-        let _ = from_pe;
+    fn update_fanout(&self) -> u64 {
         let p = self.pes.len() as u64;
         match self.mode {
             DistributionMode::FullMesh => p.saturating_sub(1),
@@ -304,114 +306,75 @@ impl BgpVpnFabric {
         }
     }
 
-    /// BGP best-path tie-break for two advertisements of the same prefix
-    /// importable by the same VRF (a multihomed site): deterministic —
-    /// lowest egress PE, then lowest label.
-    fn better(a: &RemoteRoute, b: &RemoteRoute) -> bool {
-        (a.egress_pe, a.vpn_label) < (b.egress_pe, b.vpn_label)
-    }
-
-    fn distribute(&mut self, ad: &VpnRouteAd) {
-        self.messages += self.update_fanout(ad.egress_pe);
-        for (pi, pe) in self.pes.iter_mut().enumerate() {
-            if pi == ad.egress_pe {
-                continue; // local routes are reached directly, not tunneled
-            }
-            for v in &mut pe.vrfs {
-                if v.import.iter().any(|t| ad.export_targets.contains(t)) {
-                    let cand =
-                        RemoteRoute { egress_pe: ad.egress_pe, vpn_label: ad.vpn_label, rd: ad.rd };
-                    match v.table.get(ad.prefix) {
-                        Some(existing) if !Self::better(&cand, existing) => {}
-                        _ => {
-                            v.table.insert(ad.prefix, cand);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-sends every RIB route to a VRF (used after adding a VRF to an
-    /// already-running VPN — the "new site joins" path of experiment M1).
-    /// Returns the number of routes imported.
-    pub fn refresh_vrf(&mut self, vrf: VrfHandle) -> usize {
-        let mut imported = 0;
-        let rib: Vec<VpnRouteAd> = self.rib.clone();
-        for ad in &rib {
-            if ad.egress_pe == vrf.pe {
-                continue;
-            }
-            let v = &mut self.pes[vrf.pe].vrfs[vrf.index];
-            if v.import.iter().any(|t| ad.export_targets.contains(t)) {
-                let cand =
-                    RemoteRoute { egress_pe: ad.egress_pe, vpn_label: ad.vpn_label, rd: ad.rd };
-                match v.table.get(ad.prefix) {
-                    Some(existing) if !Self::better(&cand, existing) => {}
-                    _ => {
-                        v.table.insert(ad.prefix, cand);
-                    }
-                }
-                imported += 1;
-                self.messages += 1; // RR replays one update
-            }
-        }
-        imported
-    }
-
-    /// Re-applies `vrf`'s *current* import policy to its table: routes no
-    /// longer covered by any import target are removed, newly importable
-    /// RIB routes are added (best-path among candidates). This is the
-    /// RT-policy delta path — a local Adj-RIB-In re-evaluation that costs
-    /// zero update messages in either distribution mode, unlike
-    /// [`BgpVpnFabric::refresh_vrf`] which only ever adds. Returns the
-    /// `(added, removed)` prefix deltas with their routes, so a caller
-    /// maintaining a data-plane mirror can apply exactly the change.
-    #[allow(clippy::type_complexity)]
-    pub fn refilter_vrf(
+    /// Re-selects `prefix` in every VRF `affected` admits, in (PE, VRF
+    /// index) order, and returns the rows that changed.
+    fn reselect(
         &mut self,
+        prefix: Prefix,
+        affected: impl Fn(&VrfControl) -> bool,
+    ) -> Vec<RouteChange> {
+        let ads = self.rib.get(&prefix).map_or(&[][..], Vec::as_slice);
+        let mut changes = Vec::new();
+        for (pe, p) in self.pes.iter_mut().enumerate() {
+            for (index, v) in p.vrfs.iter_mut().enumerate().filter(|(_, v)| affected(v)) {
+                Self::select(VrfHandle { pe, index }, v, prefix, ads, &mut changes);
+            }
+        }
+        changes
+    }
+
+    /// The VPN best-path selection. Re-selects `prefix` in VRF `vrf` (state
+    /// `v`) from the prefix's advertisements `ads`: among those importable
+    /// under the VRF's current policy, the lowest `(egress PE, VPN label)`
+    /// wins (a deterministic tie-break for a multihomed site). Records the
+    /// row in `changes` if it changed.
+    fn select(
         vrf: VrfHandle,
-    ) -> (Vec<(Prefix, RemoteRoute)>, Vec<(Prefix, RemoteRoute)>) {
-        // Desired state: best importable advertisement per prefix.
-        let mut desired: Vec<(Prefix, RemoteRoute)> = Vec::new();
-        {
-            let v = &self.pes[vrf.pe].vrfs[vrf.index];
-            for ad in &self.rib {
-                if ad.egress_pe == vrf.pe {
-                    continue;
-                }
-                if !v.import.iter().any(|t| ad.export_targets.contains(t)) {
-                    continue;
-                }
-                let cand =
-                    RemoteRoute { egress_pe: ad.egress_pe, vpn_label: ad.vpn_label, rd: ad.rd };
-                match desired.iter_mut().find(|(p, _)| *p == ad.prefix) {
-                    Some((_, existing)) if !Self::better(&cand, existing) => {}
-                    Some((_, existing)) => *existing = cand,
-                    None => desired.push((ad.prefix, cand)),
-                }
-            }
+        v: &mut VrfControl,
+        prefix: Prefix,
+        ads: &[VpnRouteAd],
+        changes: &mut Vec<RouteChange>,
+    ) {
+        let best = ads
+            .iter()
+            .filter(|ad| ad.importable(vrf, v))
+            .map(|ad| ad.route)
+            .min_by_key(|r| (r.egress_pe, r.vpn_label));
+        if v.table.get(prefix) == best.as_ref() {
+            return;
         }
+        match best {
+            Some(r) => v.table.insert(prefix, r),
+            None => v.table.remove(prefix),
+        };
+        changes.push(RouteChange { vrf, prefix, best });
+    }
+
+    /// Re-sends every RIB route `vrf` imports (used after adding a VRF to
+    /// an already-running VPN — the "new site joins" path of experiment
+    /// M1): [`BgpVpnFabric::refilter_vrf`] plus one replayed update message
+    /// per importable route. Returns the number of routes replayed.
+    pub fn refresh_vrf(&mut self, vrf: VrfHandle) -> usize {
+        self.refilter_vrf(vrf);
+        let v = &self.pes[vrf.pe].vrfs[vrf.index];
+        let replayed = self.rib.values().flatten().filter(|ad| ad.importable(vrf, v)).count();
+        self.messages += replayed as u64;
+        replayed
+    }
+
+    /// Re-selects every RIB prefix in `vrf` under its *current* import
+    /// policy: routes no longer covered by any import target leave or give
+    /// way to the best one still covered, newly importable ones come in.
+    /// This is the RT-policy delta path — a local Adj-RIB-In re-evaluation
+    /// that costs zero update messages in either distribution mode.
+    /// Returns the table rows that changed, in prefix order.
+    pub fn refilter_vrf(&mut self, vrf: VrfHandle) -> Vec<RouteChange> {
         let v = &mut self.pes[vrf.pe].vrfs[vrf.index];
-        let current: Vec<(Prefix, RemoteRoute)> = v.table.iter().map(|(p, r)| (p, *r)).collect();
-        let mut removed = Vec::new();
-        for (p, r) in &current {
-            if !desired.iter().any(|(dp, _)| dp == p) {
-                v.table.remove(*p);
-                removed.push((*p, *r));
-            }
+        let mut changes = Vec::new();
+        for (&prefix, ads) in &self.rib {
+            Self::select(vrf, v, prefix, ads, &mut changes);
         }
-        let mut added = Vec::new();
-        for (p, r) in desired {
-            match v.table.get(p) {
-                Some(existing) if !Self::better(&r, existing) => {}
-                _ => {
-                    v.table.insert(p, r);
-                    added.push((p, r));
-                }
-            }
-        }
-        (added, removed)
+        changes
     }
 
     /// The imported remote-route table of a VRF.
@@ -466,8 +429,8 @@ mod tests {
         let b0 = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]);
         let b2 = f.add_vrf(2, rd(2), vec![RT_B], vec![RT_B]);
 
-        let la = f.advertise(a1, pfx("10.1.0.0/16"));
-        let lb = f.advertise(b2, pfx("10.1.0.0/16")); // same prefix, other VPN
+        let (la, _) = f.advertise(a1, pfx("10.1.0.0/16"));
+        let (lb, _) = f.advertise(b2, pfx("10.1.0.0/16")); // same prefix, other VPN
 
         let ra = f.routes(a0).lookup(pfx("10.1.0.0/16").addr()).copied().unwrap();
         assert_eq!(ra.egress_pe, 1);
@@ -488,8 +451,8 @@ mod tests {
         let mut f = BgpVpnFabric::new(2, DistributionMode::RouteReflector);
         let a = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         let b = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]);
-        let la = f.advertise(a, pfx("10.0.0.0/8"));
-        let lb = f.advertise(b, pfx("10.0.0.0/8"));
+        let (la, _) = f.advertise(a, pfx("10.0.0.0/8"));
+        let (lb, _) = f.advertise(b, pfx("10.0.0.0/8"));
         assert_ne!(la, lb);
         assert_eq!(f.vpn_label_owner(0, la), Some((a.index, pfx("10.0.0.0/8"))));
         assert_eq!(f.vpn_label_owner(0, lb), Some((b.index, pfx("10.0.0.0/8"))));
@@ -523,7 +486,7 @@ mod tests {
         let mut f = BgpVpnFabric::new(2, DistributionMode::RouteReflector);
         let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
-        let l = f.advertise(a1, pfx("172.16.0.0/12"));
+        let (l, _) = f.advertise(a1, pfx("172.16.0.0/12"));
         assert!(f.routes(a0).lookup(pfx("172.16.0.0/12").addr()).is_some());
         f.withdraw(a1, pfx("172.16.0.0/12"));
         assert!(f.routes(a0).lookup(pfx("172.16.0.0/12").addr()).is_none());
@@ -576,8 +539,8 @@ mod tests {
         let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]); // primary home
         let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]); // backup home
         let p = pfx("10.5.0.0/16");
-        let l1 = f.advertise(v1, p);
-        let l2 = f.advertise(v2, p);
+        let (l1, _) = f.advertise(v1, p);
+        let (l2, _) = f.advertise(v2, p);
         // Best path: lowest egress PE (1) regardless of arrival order.
         let r = f.routes(v0).lookup(p.addr()).copied().unwrap();
         assert_eq!((r.egress_pe, r.vpn_label), (1, l1));
@@ -630,24 +593,28 @@ mod tests {
         // Import RT_B too: the refilter pulls b2's route without messages.
         let before = f.messages();
         f.add_import_target(a0, RT_B);
-        let (added, removed) = f.refilter_vrf(a0);
+        let changes = f.refilter_vrf(a0);
         assert_eq!(f.messages(), before, "RT policy is local, not an update");
+        let added: Vec<_> = changes.iter().filter(|c| c.best.is_some()).collect();
+        let removed: Vec<_> = changes.iter().filter(|c| c.best.is_none()).collect();
         assert_eq!(added.len(), 1);
-        assert_eq!(added[0].0, pfx("10.9.0.0/16"));
+        assert_eq!(added[0].prefix, pfx("10.9.0.0/16"));
         assert!(removed.is_empty());
         assert_eq!(f.routes(a0).len(), 2);
 
         // Drop RT_A: its route leaves and the delta says so.
         f.remove_import_target(a0, RT_A);
-        let (added, removed) = f.refilter_vrf(a0);
+        let changes = f.refilter_vrf(a0);
+        let added: Vec<_> = changes.iter().filter(|c| c.best.is_some()).collect();
+        let removed: Vec<_> = changes.iter().filter(|c| c.best.is_none()).collect();
         assert!(added.is_empty());
         assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].0, pfx("10.1.0.0/16"));
+        assert_eq!(removed[0].prefix, pfx("10.1.0.0/16"));
         assert_eq!(f.routes(a0).len(), 1);
 
         // Idempotent once settled.
-        let (added, removed) = f.refilter_vrf(a0);
-        assert!(added.is_empty() && removed.is_empty());
+        let changes = f.refilter_vrf(a0);
+        assert!(changes.is_empty());
     }
 
     #[test]

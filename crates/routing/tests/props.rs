@@ -1,13 +1,16 @@
 //! Property-based tests for routing: SPF against a Floyd–Warshall oracle
 //! on random weighted graphs, incremental SPF against full runs under
 //! random link events, and BGP/VPN fabric invariants under random
-//! VRF/route scripts.
+//! VRF/route scripts, including a brute-force reference model of VPN
+//! best-path selection.
+
+use std::collections::BTreeMap;
 
 use netsim_net::{Ip, Prefix};
 use netsim_routing::igp::{spf, spf_filtered};
 use netsim_routing::{
-    BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, SpfScratch,
-    Topology,
+    BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RemoteRoute, RouteChange, RouteDistinguisher,
+    RouteTarget, SpfScratch, Topology, VrfHandle,
 };
 use proptest::prelude::*;
 
@@ -258,6 +261,127 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Every VRF's imported table, keyed by (PE, VRF index, prefix).
+type Tables = BTreeMap<(usize, usize, Prefix), RemoteRoute>;
+
+/// The fabric's tables, as [`Tables`].
+fn fabric_tables(f: &BgpVpnFabric, vrfs: &[VrfHandle]) -> Tables {
+    let mut t = Tables::new();
+    for &h in vrfs {
+        t.extend(f.routes(h).iter().map(|(p, r)| ((h.pe, h.index, p), *r)));
+    }
+    t
+}
+
+/// The reference model: for every VRF and prefix, the minimum by
+/// `(egress PE, VPN label)` over the live advertisements `(origin,
+/// prefix, route, export targets)` from another PE whose export targets
+/// meet the VRF's import targets `imports`.
+fn reference_tables(
+    vrfs: &[VrfHandle],
+    imports: &[Vec<RouteTarget>],
+    ads: &[(VrfHandle, Prefix, RemoteRoute, Vec<RouteTarget>)],
+) -> Tables {
+    let mut t = Tables::new();
+    for (h, import) in vrfs.iter().zip(imports) {
+        for (_, prefix, route, exports) in ads {
+            if route.egress_pe == h.pe || !import.iter().any(|rt| exports.contains(rt)) {
+                continue;
+            }
+            let row = t.entry((h.pe, h.index, *prefix)).or_insert(*route);
+            if (route.egress_pe, route.vpn_label) < (row.egress_pe, row.vpn_label) {
+                *row = *route;
+            }
+        }
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fabric against a brute-force model of VPN best-path selection
+    /// over random scripts of VRF creation, advertisements, withdrawals
+    /// and import-policy edits (each creation and edit followed by a
+    /// re-filter): after every step each VRF table equals the model's, and
+    /// the returned changes are exactly the rows that changed.
+    #[test]
+    fn vrf_tables_match_a_brute_force_selection(
+        pe_count in 3usize..5,
+        ops in proptest::collection::vec((0u8..5, any::<u8>(), any::<u8>(), any::<u8>()), 1..40),
+    ) {
+        let prefixes: [Prefix; 3] =
+            ["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"].map(|p| p.parse().unwrap());
+        let rts = |bits: u8| -> Vec<RouteTarget> {
+            (0..4).filter(|b| bits & (1 << b) != 0).map(RouteTarget).collect()
+        };
+        let mut f = BgpVpnFabric::new(pe_count, DistributionMode::RouteReflector);
+        let mut vrfs: Vec<VrfHandle> = Vec::new();
+        let mut imports: Vec<Vec<RouteTarget>> = Vec::new();
+        let mut exports: Vec<Vec<RouteTarget>> = Vec::new();
+        let mut ads: Vec<(VrfHandle, Prefix, RemoteRoute, Vec<RouteTarget>)> = Vec::new();
+        for (kind, a, b, c) in ops {
+            if kind > 0 && vrfs.is_empty() {
+                continue;
+            }
+            let pick = usize::from(a) % vrfs.len().max(1);
+            let prefix = prefixes[usize::from(b) % 3];
+            let rt = RouteTarget(u64::from(c % 4));
+            let before = fabric_tables(&f, &vrfs);
+            let changes: Vec<RouteChange> = match kind {
+                0 => {
+                    let rd = RouteDistinguisher::new(65000, vrfs.len() as u32);
+                    let h = f.add_vrf(usize::from(a) % pe_count, rd, rts(b), rts(c));
+                    vrfs.push(h);
+                    imports.push(rts(b));
+                    exports.push(rts(c));
+                    f.refilter_vrf(h)
+                }
+                1 => {
+                    let h = vrfs[pick];
+                    if ads.iter().any(|ad| ad.0 == h && ad.1 == prefix) {
+                        continue;
+                    }
+                    let (label, changes) = f.advertise(h, prefix);
+                    let route = RemoteRoute { egress_pe: h.pe, vpn_label: label, rd: f.vrf_rd(h) };
+                    ads.push((h, prefix, route, exports[pick].clone()));
+                    changes
+                }
+                2 => {
+                    let h = vrfs[pick];
+                    ads.retain(|ad| !(ad.0 == h && ad.1 == prefix));
+                    f.withdraw(h, prefix)
+                }
+                3 => {
+                    f.add_import_target(vrfs[pick], rt);
+                    if !imports[pick].contains(&rt) {
+                        imports[pick].push(rt);
+                    }
+                    f.refilter_vrf(vrfs[pick])
+                }
+                _ => {
+                    f.remove_import_target(vrfs[pick], rt);
+                    imports[pick].retain(|t| *t != rt);
+                    f.refilter_vrf(vrfs[pick])
+                }
+            };
+            let after = fabric_tables(&f, &vrfs);
+            prop_assert_eq!(&after, &reference_tables(&vrfs, &imports, &ads), "op {}", kind);
+            let mut changed: BTreeMap<(usize, usize, Prefix), Option<RemoteRoute>> =
+                BTreeMap::new();
+            for key in before.keys().chain(after.keys()) {
+                if before.get(key) != after.get(key) {
+                    changed.insert(*key, after.get(key).copied());
+                }
+            }
+            let reported: BTreeMap<_, _> =
+                changes.iter().map(|c| ((c.vrf.pe, c.vrf.index, c.prefix), c.best)).collect();
+            prop_assert_eq!(reported.len(), changes.len(), "a row reported twice");
+            prop_assert_eq!(reported, changed, "op {}", kind);
         }
     }
 }

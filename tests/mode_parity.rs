@@ -407,6 +407,58 @@ fn rt_policy_is_a_local_delta_in_both_modes() {
     }
 }
 
+/// Dropping an import target re-selects the prefix under the remaining
+/// policy. A hub VRF on PE2 imports two VPNs that both use 10.5/16:
+/// acme's home on PE0 wins the tie-break while both targets are
+/// imported. Once acme's target is removed, the hub must switch to
+/// globex's route via PE1; keeping acme's route would leak the hub's
+/// traffic into a VPN it no longer imports.
+#[test]
+fn removed_import_target_gives_way_to_the_remaining_import() {
+    use mplsvpn::sim::{Sink, SourceConfig};
+    let shared: mplsvpn::net::Prefix = "10.5.0.0/16".parse().unwrap();
+    for mode in [ControlMode::Oracle, ControlMode::InBand] {
+        let mut topo = Topology::new(3);
+        let attrs = LinkAttrs { cost: 1, capacity_bps: 10_000_000 };
+        topo.add_link(0, 1, attrs);
+        topo.add_link(1, 2, attrs);
+        let mut pn = BackboneBuilder::new(topo, vec![0, 1, 2])
+            .detection(20 * MSEC)
+            .control_mode(mode)
+            .build();
+        let acme = pn.new_vpn("acme");
+        let globex = pn.new_vpn("globex");
+        let hub = pn.new_vpn("hub");
+        let acme_site = pn.add_site(acme, 0, shared, None);
+        let globex_site = pn.add_site(globex, 1, shared, None);
+        let hub_site = pn.add_site(hub, 2, "10.9.0.0/16".parse().unwrap(), None);
+        for vpn in [acme, globex] {
+            pn.add_import_target(2, hub, RouteTarget(100 + vpn.0 as u64));
+        }
+        pn.run_for(100 * MSEC);
+        let row = |pn: &mut ProviderNetwork| {
+            pn.vrf_digest(2, hub).into_iter().find(|(p, _)| *p == shared).map(|(_, r)| r)
+        };
+        assert!(matches!(row(&mut pn), Some(Some((0, _, Some(_))))), "acme wins ({mode:?})");
+
+        pn.remove_import_target(2, hub, RouteTarget(100 + acme.0 as u64));
+        let Some(Some((egress, _label, path))) = row(&mut pn) else {
+            panic!("hub lost 10.5/16 although it still imports globex ({mode:?})");
+        };
+        assert_eq!(egress, 1, "hub re-selects globex's route via PE1 ({mode:?})");
+        assert_eq!(path, Some(vec![2, 1]), "on a live tunnel ({mode:?})");
+
+        let acme_sink = pn.attach_sink(acme_site, shared);
+        let globex_sink = pn.attach_sink(globex_site, shared);
+        let probe = SourceConfig::udp(1, pn.site_addr(hub_site, 1), shared.nth(9), 5000, 128);
+        pn.attach_cbr_source(hub_site, probe, MSEC, Some(10));
+        pn.run_for(100 * MSEC);
+        let received = |sink| pn.net.node_ref::<Sink>(sink).flow(1).map_or(0, |f| f.rx_packets);
+        assert_eq!(received(globex_sink), 10, "the probe reaches globex ({mode:?})");
+        assert_eq!(received(acme_sink), 0, "nothing leaks into acme ({mode:?})");
+    }
+}
+
 /// A partition no longer panics the oracle resync: a PE with no LSP to
 /// the egress skips the install and the event is counted, surfaced
 /// through the metrics snapshot.
